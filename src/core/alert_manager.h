@@ -1,6 +1,7 @@
 #ifndef HOD_CORE_ALERT_MANAGER_H_
 #define HOD_CORE_ALERT_MANAGER_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -49,12 +50,20 @@ struct AlertEpisode {
 };
 
 /// Collects findings and produces the deduplicated alert board.
+///
+/// Episodes are maintained incrementally in a per-entity index (one for
+/// the process board, one for the calibration queue): a finding at or
+/// after its entity's latest time extends or opens that entity's last
+/// episode in amortised O(log entities); an earlier one re-sweeps only its
+/// own entity. A board read concatenates the cached episodes in entity
+/// order and sorts them, O(episodes log episodes), independent of how many
+/// findings have been ingested.
 class AlertManager {
  public:
   explicit AlertManager(AlertManagerOptions options = {});
 
-  /// Ingests one finding (any level, any order — episodes are rebuilt on
-  /// demand from the sorted set).
+  /// Ingests one finding (any level, any order — a late finding re-sweeps
+  /// its entity's episodes).
   void Ingest(const OutlierFinding& finding);
 
   /// Ingests every finding of a report.
@@ -71,10 +80,9 @@ class AlertManager {
   /// episodes and restore them byte-identically.
   const std::vector<OutlierFinding>& Findings() const { return findings_; }
 
-  /// Replaces the ingested findings wholesale (checkpoint restore).
-  void RestoreFindings(std::vector<OutlierFinding> findings) {
-    findings_ = std::move(findings);
-  }
+  /// Replaces the ingested findings wholesale (checkpoint restore) and
+  /// rebuilds the episode index from them.
+  void RestoreFindings(std::vector<OutlierFinding> findings);
 
   /// Builds the episode list: per entity, time-sorted findings merged by
   /// the merge window, filtered by min severity, strongest first.
@@ -84,13 +92,35 @@ class AlertManager {
   /// faults) — these bypass the severity filter at WARNING level.
   std::vector<AlertEpisode> CalibrationQueue() const;
 
-  void Clear() { findings_.clear(); }
+  void Clear();
 
  private:
-  std::vector<AlertEpisode> BuildEpisodes(bool measurement_errors) const;
+  /// One entity's slice of a board: its findings (indices into findings_)
+  /// in time order, and the episodes the merge-window sweep makes of them.
+  struct EntityEpisodes {
+    std::vector<size_t> members;
+    std::vector<AlertEpisode> episodes;
+  };
+  /// Keyed by entity; std::map so board reads walk entities in order.
+  using EpisodeIndex = std::map<std::string, EntityEpisodes>;
+
+  /// Files findings_[index] into its board's index.
+  void Index(size_t index);
+  /// Re-sweeps one entity's time-ordered members into episodes.
+  void Sweep(const std::string& entity, bool measurement_errors,
+             EntityEpisodes& slice) const;
+  /// One sweep step over time-ordered findings: folds `finding` into the
+  /// last episode, or opens a new one when it lies beyond the merge window.
+  void Extend(const OutlierFinding& finding, const std::string& entity,
+              bool measurement_errors,
+              std::vector<AlertEpisode>& episodes) const;
+  /// Cached episodes of every entity, strongest first.
+  static std::vector<AlertEpisode> Board(const EpisodeIndex& index);
 
   AlertManagerOptions options_;
   std::vector<OutlierFinding> findings_;
+  EpisodeIndex process_;
+  EpisodeIndex calibration_;
 };
 
 }  // namespace hod::core

@@ -97,21 +97,10 @@ StatusOr<FleetRollupResult> FleetHub::Rollup(
   int64_t plant_index = 0;
   for (const auto& [plant_id, hub] : hubs_) {
     result.version += hub->PublishEpoch();
-    for (int level : levels) {
-      const auto window = hub->LevelWindow(level, query.start, query.end);
-      if (window.empty()) continue;
-      const auto before = hub->LevelBefore(level, query.start);
-      uint64_t prev = before ? before->value.outlier_samples
-                             : window.front().value.outlier_samples;
-      for (const auto& entry : window) {
-        const uint64_t cur = entry.value.outlier_samples;
-        const double gained =
-            cur >= prev ? static_cast<double>(cur - prev) : 0.0;
-        prev = cur;
-        const int64_t bucket = static_cast<int64_t>(
-            std::floor((entry.ts - query.start) / query.bucket_width));
-        buckets[{plant_index, level, bucket}] += gained;
-      }
+    const OutlierBuckets sums = hub->FoldOutlierBuckets(
+        levels, query.start, query.end, query.bucket_width);
+    for (const auto& [cell, outliers] : sums) {
+      buckets[{plant_index, cell.first, cell.second}] = outliers;
     }
     plants.push_back(plant_id);
     ++plant_index;

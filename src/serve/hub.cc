@@ -1,6 +1,7 @@
 #include "serve/hub.h"
 
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -16,25 +17,28 @@ constexpr uint32_t kHubStateVersion = 1;
 
 /// Hub-side half of one subscriber: the bounded SPSC queue (producer = hub
 /// under its mutex, consumer = the subscriber's drain thread) plus the
-/// backpressure bookkeeping, all guarded by the hub mutex.
-/// Member order matters: the sweep-hot fields (stats, the skip flag) lead
-/// so the parked-reader skip path lives entirely in the object's first
-/// cache line — the one the fan-out loop prefetches — and never touches
-/// the ring behind it.
+/// backpressure bookkeeping, guarded by the hub mutex except the
+/// consumer's atomic pop count.
+/// Member order matters: the sweep-hot fields (the skip counters, stats)
+/// lead so the parked-reader skip path lives entirely in the object's
+/// first 64 bytes — the cache line the fan-out loop prefetches — and never
+/// touches the ring behind it.
 struct Subscription::Channel {
   explicit Channel(size_t capacity)
       : ring(capacity, stream::BackpressurePolicy::kReject) {}
+  /// Count of non-empty pops; only the consumer writes it. A pop the failed
+  /// push did not see bumps the count after the hub read it, so the next
+  /// publish retries the push: a reader that drained its queue empty is
+  /// never skipped forever.
+  std::atomic<uint64_t> pops{0};
+  /// Hub-only: `pops` as read just before the push that found the queue
+  /// full. While `pops` still equals it and the channel awaits a keyframe,
+  /// the consumer has freed no slot since, so the queue is provably still
+  /// full and the hub skips the doomed push instead of reading the ring —
+  /// at 10k parked dashboards that skip is most of the fan-out sweep.
+  uint64_t pops_at_full = 0;
   SubscriberChannelStats stats;
   size_t cache_slot = 0;  ///< index into SnapshotHub::channel_cache_
-  /// Set by the consumer whenever Drain() pops; cleared by the hub when a
-  /// push finds the queue full. While clear and the channel is awaiting a
-  /// keyframe, the queue is provably still full (the consumer freed no
-  /// slot since it filled), so the hub skips the doomed push instead of
-  /// reading the ring — at 10k parked dashboards that skip is most of the
-  /// fan-out sweep. The race with a concurrent pop only delays the resync
-  /// keyframe to the next publish after the next drain — the same
-  /// eventual-keyframe contract a failed push already has.
-  std::atomic<bool> consumed_since_full{false};
   stream::SpscRing<std::shared_ptr<const ServedUpdate>> ring;
 };
 
@@ -49,7 +53,7 @@ size_t Subscription::Drain() {
     if (channel_->ring.TryPopBatch(scratch_, 64) == 0) break;
     // Freed queue slots: tell the hub this channel is worth pushing to
     // again (it skips channels that are provably still full).
-    channel_->consumed_since_full.store(true, std::memory_order_seq_cst);
+    channel_->pops.fetch_add(1);
     for (const std::shared_ptr<const ServedUpdate>& update : scratch_) {
       if (update->is_keyframe) {
         view_ = update->keyframe;
@@ -166,9 +170,11 @@ void SnapshotHub::Process(const stream::EngineSnapshot& snapshot) {
     }
     Subscription::Channel* channel = channel_cache_[i];
     ++channel->stats.offers;
+    // Read before the push: a pop that lands after this load changes the
+    // count, so a failed push can never park the channel for good.
+    const uint64_t pops = channel->pops.load();
     if (keyframe_due || channel->stats.awaiting_keyframe) {
-      if (channel->stats.awaiting_keyframe &&
-          !channel->consumed_since_full.load(std::memory_order_acquire)) {
+      if (channel->stats.awaiting_keyframe && pops == channel->pops_at_full) {
         // The queue filled and the consumer has not popped since: a push
         // can only fail, so account the dropped keyframe without touching
         // the ring. This keeps the sweep O(1) cache lines per parked
@@ -187,7 +193,7 @@ void SnapshotHub::Process(const stream::EngineSnapshot& snapshot) {
         ++stats_.keyframes_dropped;
         ++channel->stats.keyframes_dropped;
         channel->stats.awaiting_keyframe = true;
-        channel->consumed_since_full.store(false, std::memory_order_seq_cst);
+        channel->pops_at_full = pops;
       }
       continue;
     }
@@ -202,7 +208,7 @@ void SnapshotHub::Process(const stream::EngineSnapshot& snapshot) {
       ++stats_.delta_dropped;
       ++channel->stats.delta_dropped;
       channel->stats.awaiting_keyframe = true;
-      channel->consumed_since_full.store(false, std::memory_order_seq_cst);
+      channel->pops_at_full = pops;
     }
   }
 
@@ -276,21 +282,33 @@ std::optional<stream::EngineSnapshot> SnapshotHub::Latest() const {
   return last_;
 }
 
-std::vector<HistoryRing<stream::LevelOutlierState>::Entry>
-SnapshotHub::LevelWindow(int level_index, ts::TimePoint t0,
-                         ts::TimePoint t1) const {
+OutlierBuckets SnapshotHub::FoldOutlierBuckets(const std::vector<int>& levels,
+                                               ts::TimePoint t0,
+                                               ts::TimePoint t1,
+                                               double bucket_width) const {
+  OutlierBuckets sums;
   std::lock_guard<std::mutex> lock(mu_);
-  if (level_index < 0 || level_index >= hierarchy::kNumLevels) return {};
-  return history_[level_index].Window(t0, t1);
-}
-
-std::optional<HistoryRing<stream::LevelOutlierState>::Entry>
-SnapshotHub::LevelBefore(int level_index, ts::TimePoint t) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (level_index < 0 || level_index >= hierarchy::kNumLevels) {
-    return std::nullopt;
+  for (const int level : levels) {
+    if (level < 0 || level >= hierarchy::kNumLevels) continue;
+    const HistoryRing<stream::LevelOutlierState>& ring = history_[level];
+    size_t i = ring.LowerBound(t0);
+    if (i == ring.size() || ring.At(i).ts >= t1) continue;
+    // Baseline: the newest entry before the window, else the window's
+    // first entry (which then gains nothing).
+    uint64_t prev = ring.At(i == 0 ? 0 : i - 1).value.outlier_samples;
+    for (; i < ring.size(); ++i) {
+      const HistoryRing<stream::LevelOutlierState>::Entry& entry = ring.At(i);
+      if (entry.ts >= t1) break;
+      const uint64_t cur = entry.value.outlier_samples;
+      const double gained =
+          cur >= prev ? static_cast<double>(cur - prev) : 0.0;
+      prev = cur;
+      const int64_t bucket =
+          static_cast<int64_t>(std::floor((entry.ts - t0) / bucket_width));
+      sums[{level, bucket}] += gained;
+    }
   }
-  return history_[level_index].Before(t);
+  return sums;
 }
 
 size_t SnapshotHub::HistorySize(int level_index) const {

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "hierarchy/level.h"
@@ -53,6 +54,9 @@ struct ServedUpdate {
   stream::EngineSnapshot keyframe;  ///< set when is_keyframe
   SnapshotDelta delta;              ///< set when !is_keyframe
 };
+
+/// Outlier samples per (level index, time bucket) roll-up cell.
+using OutlierBuckets = std::map<std::pair<int, int64_t>, double>;
 
 /// Hub-side aggregate counters. The per-publish outcome identity — every
 /// processed publish offers each live subscriber exactly one update —
@@ -180,12 +184,18 @@ class SnapshotHub {
   /// Latest processed snapshot, if any.
   std::optional<stream::EngineSnapshot> Latest() const;
 
-  /// History-ring reads for the query tier. `level_index` is
-  /// LevelValue(level) - 1, matching EngineSnapshot::levels.
-  std::vector<HistoryRing<stream::LevelOutlierState>::Entry> LevelWindow(
-      int level_index, ts::TimePoint t0, ts::TimePoint t1) const;
-  std::optional<HistoryRing<stream::LevelOutlierState>::Entry> LevelBefore(
-      int level_index, ts::TimePoint t) const;
+  /// The roll-up fold over the history rings, for the query tier. For
+  /// each level index in `levels` (LevelValue(level) - 1, matching
+  /// EngineSnapshot::levels; out-of-range indices are skipped), the
+  /// cumulative outlier counter of the entries with t0 <= ts < t1 is
+  /// diffed entry to entry, seeded from the newest entry before t0, and
+  /// the gains are summed per (level, floor((ts - t0) / bucket_width)).
+  /// A level with no entry in the window contributes no cell. One pass
+  /// under one hub lock: no entry is copied, and a concurrent publish
+  /// cannot evict entries between a level's baseline and its window.
+  OutlierBuckets FoldOutlierBuckets(const std::vector<int>& levels,
+                                    ts::TimePoint t0, ts::TimePoint t1,
+                                    double bucket_width) const;
   size_t HistorySize(int level_index) const;
   uint64_t HistoryEvicted(int level_index) const;
 

@@ -81,26 +81,9 @@ StatusOr<RollupResult> QueryService::Compute(const RollupQuery& query,
     for (int i = 0; i < hierarchy::kNumLevels; ++i) levels.push_back(i);
   }
 
-  // Per (level, bucket): outlier samples attributed to the bucket — the
-  // diff of the cumulative per-level counter between consecutive history
-  // entries, seeded from the newest entry before the window.
-  std::map<std::pair<int, int64_t>, double> buckets;
-  for (int level : levels) {
-    const auto window = hub_->LevelWindow(level, query.start, query.end);
-    if (window.empty()) continue;
-    const auto before = hub_->LevelBefore(level, query.start);
-    uint64_t prev = before ? before->value.outlier_samples
-                           : window.front().value.outlier_samples;
-    for (const auto& entry : window) {
-      const uint64_t cur = entry.value.outlier_samples;
-      const double gained =
-          cur >= prev ? static_cast<double>(cur - prev) : 0.0;
-      prev = cur;
-      const int64_t bucket = static_cast<int64_t>(
-          std::floor((entry.ts - query.start) / query.bucket_width));
-      buckets[{level, bucket}] += gained;
-    }
-  }
+  // Per (level, bucket): outlier samples attributed to the bucket.
+  const OutlierBuckets buckets = hub_->FoldOutlierBuckets(
+      levels, query.start, query.end, query.bucket_width);
 
   RollupResult result;
   result.epoch = epoch;

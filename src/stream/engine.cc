@@ -655,7 +655,9 @@ StreamStatsSnapshot StreamEngine::stats() const {
   return snapshot;
 }
 
-EngineSnapshot StreamEngine::Snapshot() const {
+EngineSnapshot StreamEngine::Snapshot() const { return *SharedSnapshot(); }
+
+std::shared_ptr<const EngineSnapshot> StreamEngine::SharedSnapshot() const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   return published_;
 }
@@ -1127,7 +1129,8 @@ void StreamEngine::ConsumeSensorRecovery(const ScoredSample& event) {
 }
 
 void StreamEngine::PublishSnapshot() {
-  EngineSnapshot snapshot;
+  auto built = std::make_shared<EngineSnapshot>();
+  EngineSnapshot& snapshot = *built;
   snapshot.sequence = next_sequence_++;
   snapshot.events_seen = events_seen_;
   snapshot.ts = std::isfinite(collector_frontier_) ? collector_frontier_ : 0.0;
@@ -1151,18 +1154,14 @@ void StreamEngine::PublishSnapshot() {
   snapshot.concept_shifts_total = concept_shifts_total_;
   events_at_last_snapshot_ = events_seen_;
   stats_.RecordSnapshotPublished();
-  if (options_.snapshot_sink) {
-    {
-      std::lock_guard<std::mutex> lock(snapshot_mu_);
-      published_ = snapshot;
-    }
-    // Outside the lock: the sink (a hub ring push) must never be able to
-    // stall a concurrent Snapshot() reader.
-    options_.snapshot_sink(snapshot);
-    return;
+  std::shared_ptr<const EngineSnapshot> shared = std::move(built);
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    published_ = shared;
   }
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  published_ = std::move(snapshot);
+  // Outside the lock: the sink (a hub ring push) must never be able to
+  // stall a concurrent Snapshot() reader.
+  if (options_.snapshot_sink) options_.snapshot_sink(*shared);
 }
 
 }  // namespace hod::stream

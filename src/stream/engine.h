@@ -362,6 +362,10 @@ class StreamEngine {
   /// Latest published per-level outlier snapshot (sequence 0 if none).
   EngineSnapshot Snapshot() const;
 
+  /// The same snapshot without the copy: published snapshots are
+  /// immutable, so readers share the engine's own (never null).
+  std::shared_ptr<const EngineSnapshot> SharedSnapshot() const;
+
   /// Per-sensor health states (safe from any thread).
   SensorHealthSnapshot Health() const { return health_.Snapshot(); }
 
@@ -556,8 +560,10 @@ class StreamEngine {
   core::AlertManager alerts_;
   std::vector<core::OutlierFinding> pending_findings_;
 
+  /// Guards the pointer only; the snapshot behind it is never mutated.
   mutable std::mutex snapshot_mu_;
-  EngineSnapshot published_;
+  std::shared_ptr<const EngineSnapshot> published_ =
+      std::make_shared<const EngineSnapshot>();
 };
 
 }  // namespace hod::stream

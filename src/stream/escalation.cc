@@ -2,14 +2,38 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "core/report.h"
 
 namespace hod::stream {
+
+std::vector<const ActiveAlarm*> TakeFreshAlarms(
+    const std::vector<ActiveAlarm>& active,
+    std::map<std::string, ts::TimePoint>& escalated) {
+  std::vector<const ActiveAlarm*> fresh;
+  auto known = escalated.begin();
+  for (const ActiveAlarm& alarm : active) {
+    while (known != escalated.end() && known->first < alarm.sensor_id) {
+      known = escalated.erase(known);
+    }
+    if (known != escalated.end() && known->first == alarm.sensor_id) {
+      if (known->second != alarm.since) {
+        known->second = alarm.since;
+        fresh.push_back(&alarm);
+      }
+      ++known;
+    } else {
+      escalated.emplace_hint(known, alarm.sensor_id, alarm.since);
+      fresh.push_back(&alarm);
+    }
+  }
+  escalated.erase(known, escalated.end());
+  return fresh;
+}
 
 EscalationBridge::EscalationBridge(StreamEngine* engine,
                                    core::HierarchicalDetector* detector,
@@ -42,7 +66,9 @@ void EscalationBridge::Loop(const std::stop_token& stop) {
 }
 
 StatusOr<size_t> EscalationBridge::Poll() {
-  const EngineSnapshot snapshot = engine_->Snapshot();
+  const std::shared_ptr<const EngineSnapshot> shared =
+      engine_->SharedSnapshot();
+  const EngineSnapshot& snapshot = *shared;
   if (snapshot.sequence == 0 || snapshot.sequence == last_sequence_) {
     return size_t{0};
   }
@@ -63,25 +89,8 @@ StatusOr<size_t> EscalationBridge::Poll() {
     ++shifts_marked_;
   }
 
-  // Diff: fresh = alarms we have not escalated at this `since` yet.
-  std::vector<ActiveAlarm> fresh;
-  std::set<std::string> active_ids;
-  for (const ActiveAlarm& alarm : snapshot.active_alarms) {
-    active_ids.insert(alarm.sensor_id);
-    auto it = escalated_.find(alarm.sensor_id);
-    if (it == escalated_.end() || it->second != alarm.since) {
-      fresh.push_back(alarm);
-    }
-  }
-  // Prune cleared alarms so a later re-raise of the same sensor is fresh
-  // even if its `since` collides, and the map stays bounded.
-  for (auto it = escalated_.begin(); it != escalated_.end();) {
-    if (active_ids.count(it->first) == 0) {
-      it = escalated_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  const std::vector<const ActiveAlarm*> fresh =
+      TakeFreshAlarms(snapshot.active_alarms, escalated_);
   if (fresh.empty()) return size_t{0};
 
   const core::DetectorCacheStats before = detector_->cache_stats();
@@ -90,10 +99,9 @@ StatusOr<size_t> EscalationBridge::Poll() {
   EscalationRunStats run;
   run.entities = fresh.size();
   std::vector<core::OutlierFinding> findings;
-  for (const ActiveAlarm& alarm : fresh) {
-    escalated_[alarm.sensor_id] = alarm.since;
-    auto report_or =
-        detector_->EscalateAlarm(alarm.level, alarm.sensor_id, alarm.since);
+  for (const ActiveAlarm* alarm : fresh) {
+    auto report_or = detector_->EscalateAlarm(alarm->level, alarm->sensor_id,
+                                              alarm->since);
     if (!report_or.ok()) {
       ++run.unresolved;
       continue;

@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/hierarchical_detector.h"
 #include "stream/engine.h"
@@ -18,6 +19,18 @@ struct EscalationOptions {
   /// callers (tests, synchronous replay) just call Poll() directly.
   std::chrono::milliseconds poll_interval{200};
 };
+
+/// Poll's diff step, one merge walk over two sequences ordered by sensor
+/// id: `active` (an EngineSnapshot's active_alarms, built from the
+/// engine's map) and `escalated` (sensor id -> alarm-since already
+/// escalated). Returns the alarms not yet escalated at their `since` and
+/// records them in `escalated`; ids absent from `active` are cleared
+/// alarms and are pruned, so a later re-raise of the same sensor is fresh
+/// even if its `since` collides, and the map stays bounded. The returned
+/// pointers point into `active`.
+std::vector<const ActiveAlarm*> TakeFreshAlarms(
+    const std::vector<ActiveAlarm>& active,
+    std::map<std::string, ts::TimePoint>& escalated);
 
 /// The bridge between the cheap stream tier and the paper's Algorithm 1:
 /// diffs consecutive EngineSnapshots and runs

@@ -647,6 +647,11 @@ TEST(FleetManager, KillAndRestoreOnePlantWithoutPausingSiblings) {
     }
   });
 
+  // Kill only once the sibling is demonstrably ingesting, so the cycle
+  // overlaps its traffic however the producer thread gets scheduled.
+  while (sibling_pushed.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   ASSERT_TRUE(fleet.RemovePlant("victim").ok());  // "kill"
   ASSERT_TRUE(fleet.RestorePlant("victim").ok());
   EXPECT_EQ(fleet.RestorePlant("victim").code(),

@@ -1,5 +1,9 @@
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <map>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -7,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "detect/olap_cube.h"
 #include "serve/codec.h"
 #include "serve/fleet_hub.h"
 #include "serve/history.h"
@@ -395,12 +400,14 @@ TEST(SnapshotHub, HistoryRingsFollowPublishes) {
     snap.sequence++;
   }
   EXPECT_EQ(hub.HistorySize(0), 20u);
-  const auto window = hub.LevelWindow(0, 50.0, 100.0);
-  ASSERT_EQ(window.size(), 5u);
-  EXPECT_EQ(window.front().value.outlier_samples, 25u);
-  const auto before = hub.LevelBefore(0, 50.0);
-  ASSERT_TRUE(before.has_value());
-  EXPECT_EQ(before->value.outlier_samples, 20u);
+  // One 10 s bucket per entry: the window [50, 100) holds five entries
+  // (counters 25..45), and the first one diffs against the entry before
+  // the window (counter 20).
+  const OutlierBuckets buckets = hub.FoldOutlierBuckets({0}, 50.0, 100.0, 10.0);
+  ASSERT_EQ(buckets.size(), 5u);
+  EXPECT_EQ(buckets.begin()->first, (std::pair<int, int64_t>{0, 0}));
+  EXPECT_EQ(buckets.begin()->second, 25.0 - 20.0);
+  for (const auto& [cell, outliers] : buckets) EXPECT_EQ(outliers, 5.0);
 }
 
 /// Subscribe/unsubscribe churn racing a publisher: no crashes, no lost
@@ -442,6 +449,53 @@ TEST(SnapshotHub, SubscriberChurnRacingPublish) {
   auto sub = hub.Subscribe();
   sub->Drain();
   EXPECT_TRUE(sub->has_view());
+}
+
+/// Regression: a reader that drains its full queue empty in the window
+/// between the hub's failed push and the hub marking the channel full
+/// must not be skipped forever. Before the pop counter, the drain's "slots
+/// freed" mark could land before the hub's "queue full" mark; the channel
+/// then sat empty, awaiting a keyframe the hub never tried to push again.
+TEST(SnapshotHub, ReaderDrainingAFullQueueIsNeverParked) {
+  constexpr int kTrials = 100;
+  constexpr int kReaders = 4;
+  constexpr int kPublishes = 2000;
+  int parked = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    SnapshotHub hub(SyncHub(/*keyframe_every=*/1000, /*queue_capacity=*/2));
+    std::vector<std::unique_ptr<Subscription>> subs;
+    for (int r = 0; r < kReaders; ++r) subs.push_back(hub.Subscribe());
+    std::atomic<bool> stop{false};
+    std::thread drainer([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (auto& sub : subs) sub->Drain();
+      }
+    });
+    Rng rng(1000 + trial);
+    EngineSnapshot snap = RandomSnapshot(rng, 1);
+    for (int i = 0; i < kPublishes; ++i) {
+      hub.Publish(snap);
+      snap = EvolveSnapshot(rng, snap);
+    }
+    stop.store(true);
+    drainer.join();
+    // Quiet now: a few publish + drain rounds must resync every reader.
+    for (int i = 0; i < 10; ++i) {
+      hub.Publish(snap);
+      snap = EvolveSnapshot(rng, snap);
+      for (auto& sub : subs) sub->Drain();
+    }
+    const std::optional<EngineSnapshot> latest = hub.Latest();
+    ASSERT_TRUE(latest.has_value());
+    for (auto& sub : subs) {
+      if (sub->ChannelStats().awaiting_keyframe || !sub->has_view() ||
+          EncodeSnapshotBytes(sub->View()) != EncodeSnapshotBytes(*latest)) {
+        ++parked;
+      }
+    }
+  }
+  EXPECT_EQ(parked, 0) << "readers left parked over " << kTrials
+                       << " trials of " << kReaders;
 }
 
 TEST(SnapshotHub, AsyncModeDeliversAndQuiesces) {
@@ -639,6 +693,191 @@ TEST(FleetHub, MergedBoardAndCrossPlantRollup) {
   fleet.RemovePlant("munich");
   EXPECT_EQ(fleet.Hub("munich"), nullptr);
   EXPECT_EQ(fleet.Plants().size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Roll-up fold parity
+// ---------------------------------------------------------------------------
+
+using LevelRing = HistoryRing<stream::LevelOutlierState>;
+
+/// The per-level bucket sums as computed before the hub folded them: copy
+/// the window and the baseline entry out of the history, then diff. Runs
+/// on the test's own mirror of the hub's rings.
+std::map<std::pair<int, int64_t>, double> ReferenceBuckets(
+    const std::vector<LevelRing>& rings, const RollupQuery& query) {
+  std::vector<int> levels = query.levels;
+  if (levels.empty()) {
+    for (int i = 0; i < hierarchy::kNumLevels; ++i) levels.push_back(i);
+  }
+  std::map<std::pair<int, int64_t>, double> buckets;
+  for (int level : levels) {
+    const auto window = rings[level].Window(query.start, query.end);
+    if (window.empty()) continue;
+    const auto before = rings[level].Before(query.start);
+    uint64_t prev = before ? before->value.outlier_samples
+                           : window.front().value.outlier_samples;
+    for (const auto& entry : window) {
+      const uint64_t cur = entry.value.outlier_samples;
+      const double gained =
+          cur >= prev ? static_cast<double>(cur - prev) : 0.0;
+      prev = cur;
+      const int64_t bucket = static_cast<int64_t>(
+          std::floor((entry.ts - query.start) / query.bucket_width));
+      buckets[{level, bucket}] += gained;
+    }
+  }
+  return buckets;
+}
+
+/// Scores reference cells keyed by their dims, as both roll-ups did.
+std::vector<double> ReferenceScores(
+    const std::map<std::vector<int64_t>, double>& cells, size_t* cube_cells) {
+  std::vector<detect::CubeRecord> records;
+  for (const auto& [dims, outliers] : cells) {
+    detect::CubeRecord record;
+    record.dims = dims;
+    record.measure = outliers;
+    records.push_back(std::move(record));
+  }
+  if (records.empty()) return {};
+  detect::OlapCubeDetector cube;
+  EXPECT_TRUE(cube.TrainRecords(records).ok());
+  auto scores = cube.ScoreRecords(records);
+  EXPECT_TRUE(scores.ok());
+  *cube_cells = cube.num_cells();
+  return scores.value();
+}
+
+/// Publishes a random history into `hubs`, mirroring each hub's rings.
+/// Level 4 never moves; level 3 jumps backwards once (a counter reset).
+void PublishRandomHistory(Rng& rng, const std::vector<SnapshotHub*>& hubs,
+                          size_t capacity,
+                          std::vector<std::vector<LevelRing>>& mirrors) {
+  mirrors.assign(hubs.size(), {});
+  for (size_t h = 0; h < hubs.size(); ++h) {
+    for (int i = 0; i < hierarchy::kNumLevels; ++i) {
+      mirrors[h].emplace_back(capacity);
+    }
+    EngineSnapshot snap;
+    snap.ts = 100.0;
+    const int publishes = 40 + static_cast<int>(rng.NextBelow(80));
+    for (int p = 0; p < publishes; ++p) {
+      snap.sequence = p + 1;
+      snap.ts += static_cast<double>(rng.NextBelow(4));  // equal ts too
+      for (int level = 0; level < 4; ++level) {
+        snap.levels[level].outlier_samples += rng.NextBelow(6);
+      }
+      if (p == publishes / 2) snap.levels[3].outlier_samples /= 2;
+      hubs[h]->Publish(snap);
+      for (int level = 0; level < hierarchy::kNumLevels; ++level) {
+        mirrors[h][level].Append(snap.ts, snap.levels[level]);
+      }
+    }
+  }
+}
+
+RollupQuery RandomQuery(Rng& rng) {
+  RollupQuery query;
+  // From before the oldest retained entry (no baseline) to past the
+  // newest (empty window).
+  query.start = 90.0 + static_cast<double>(rng.NextBelow(400));
+  query.end = query.start + 1.0 + static_cast<double>(rng.NextBelow(200));
+  query.bucket_width = 1.0 + static_cast<double>(rng.NextBelow(40));
+  const uint64_t pick = rng.NextBelow(4);
+  if (pick == 1) query.levels = {0, 4};
+  if (pick == 2) query.levels = {3};
+  if (pick == 3) query.levels = {2, 1, 2};
+  return query;
+}
+
+TEST(RollupFold, QueryServiceMatchesWindowCopyComputation) {
+  size_t with_baseline = 0;
+  size_t empty = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    SnapshotHubOptions options = SyncHub();
+    options.history_capacity = 64;  // long runs evict the oldest entries
+    SnapshotHub hub(options);
+    std::vector<std::vector<LevelRing>> mirrors;
+    PublishRandomHistory(rng, {&hub}, options.history_capacity, mirrors);
+    for (int q = 0; q < 20; ++q) {
+      const RollupQuery query = RandomQuery(rng);
+      QueryService service(&hub);
+      auto got = service.Rollup(query);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+      const auto buckets = ReferenceBuckets(mirrors[0], query);
+      std::map<std::vector<int64_t>, double> cells;
+      for (const auto& [cell, outliers] : buckets) {
+        cells[{cell.first, cell.second}] = outliers;
+      }
+      size_t cube_cells = 0;
+      const std::vector<double> scores = ReferenceScores(cells, &cube_cells);
+      ASSERT_EQ(got->cells.size(), buckets.size()) << "seed " << seed;
+      EXPECT_EQ(got->cube_cells, cube_cells);
+      size_t i = 0;
+      for (const auto& [cell, outliers] : buckets) {
+        const RollupCell& out = got->cells[i];
+        EXPECT_EQ(out.level, cell.first);
+        EXPECT_EQ(out.bucket, cell.second);
+        EXPECT_EQ(out.bucket_start,
+                  query.start + cell.second * query.bucket_width);
+        EXPECT_EQ(out.outliers, outliers);
+        EXPECT_EQ(out.score, scores[i]);
+        EXPECT_EQ(out.anomalous, scores[i] >= 0.5);
+        ++i;
+      }
+      if (buckets.empty()) ++empty;
+      if (mirrors[0][0].Before(query.start).has_value() && !buckets.empty()) {
+        ++with_baseline;
+      }
+    }
+  }
+  EXPECT_GT(with_baseline, 50u);
+  EXPECT_GT(empty, 20u);
+}
+
+TEST(RollupFold, FleetRollupMatchesWindowCopyComputation) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    SnapshotHubOptions options = SyncHub();
+    options.history_capacity = 64;
+    FleetHub fleet(options);
+    // Map order, as FleetHub walks its plants.
+    const std::vector<std::string> plants = {"augsburg", "berlin", "munich"};
+    std::vector<SnapshotHub*> hubs;
+    for (const std::string& plant : plants) hubs.push_back(fleet.AddPlant(plant));
+    std::vector<std::vector<LevelRing>> mirrors;
+    PublishRandomHistory(rng, hubs, options.history_capacity, mirrors);
+    for (int q = 0; q < 10; ++q) {
+      const RollupQuery query = RandomQuery(rng);
+      auto got = fleet.Rollup(query);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+      std::map<std::vector<int64_t>, double> cells;
+      for (size_t p = 0; p < plants.size(); ++p) {
+        for (const auto& [cell, outliers] : ReferenceBuckets(mirrors[p], query)) {
+          cells[{static_cast<int64_t>(p), cell.first, cell.second}] = outliers;
+        }
+      }
+      size_t cube_cells = 0;
+      const std::vector<double> scores = ReferenceScores(cells, &cube_cells);
+      ASSERT_EQ(got->cells.size(), cells.size()) << "seed " << seed;
+      EXPECT_EQ(got->cube_cells, cube_cells);
+      size_t i = 0;
+      for (const auto& [dims, outliers] : cells) {
+        const FleetRollupCell& out = got->cells[i];
+        EXPECT_EQ(out.plant_id, plants[static_cast<size_t>(dims[0])]);
+        EXPECT_EQ(out.cell.level, dims[1]);
+        EXPECT_EQ(out.cell.bucket, dims[2]);
+        EXPECT_EQ(out.cell.outliers, outliers);
+        EXPECT_EQ(out.cell.score, scores[i]);
+        EXPECT_EQ(out.cell.anomalous, scores[i] >= 0.5);
+        ++i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

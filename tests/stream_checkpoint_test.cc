@@ -168,6 +168,66 @@ TEST(EngineCheckpoint, KillAndRestoreResumesByteIdentically) {
   EXPECT_EQ(run_a.Episodes().size(), run_b.Episodes().size());
 }
 
+void ExpectSameBoard(const std::vector<core::AlertEpisode>& got,
+                     const std::vector<core::AlertEpisode>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].entity, want[i].entity) << i;
+    EXPECT_EQ(got[i].start_time, want[i].start_time) << i;
+    EXPECT_EQ(got[i].end_time, want[i].end_time) << i;
+    EXPECT_EQ(got[i].finding_count, want[i].finding_count) << i;
+    EXPECT_EQ(got[i].peak_outlierness, want[i].peak_outlierness) << i;
+    EXPECT_EQ(got[i].peak_global_score, want[i].peak_global_score) << i;
+    EXPECT_EQ(got[i].peak_support, want[i].peak_support) << i;
+    EXPECT_EQ(got[i].escalated_findings, want[i].escalated_findings) << i;
+    EXPECT_EQ(got[i].severity, want[i].severity) << i;
+    EXPECT_EQ(got[i].suspected_measurement_error,
+              want[i].suspected_measurement_error)
+        << i;
+    EXPECT_EQ(got[i].group_outage, want[i].group_outage) << i;
+  }
+}
+
+TEST(EngineCheckpoint, RestoredBoardEqualsBoardBeforeCheckpoint) {
+  const std::vector<double> s1 = MakeStream(41, 600);
+  const std::vector<double> s2 = MakeStream(42, 600);
+  StreamEngine engine(SyncOptions());
+  ASSERT_TRUE(engine.AddSensor("s1", ProductionLevel::kPhase).ok());
+  ASSERT_TRUE(engine.AddSensor("s2", ProductionLevel::kPhase).ok());
+  ASSERT_TRUE(engine.Start().ok());
+  Feed(engine, "s1", s1, 0, 300);
+  Feed(engine, "s2", s2, 0, 300);
+  // Escalated findings land behind the stream's own: one confirmed
+  // process triple inside s1's burst, one measurement-error suspicion.
+  core::OutlierFinding late;
+  late.origin.entity = "s1";
+  late.origin.time = 201.0;
+  late.global_score = 3;
+  late.outlierness = 0.9;
+  late.escalated = true;
+  core::OutlierFinding suspect = late;
+  suspect.origin.entity = "s2";
+  suspect.measurement_error_warning = true;
+  engine.ReportEscalation(EscalationRunStats{}, {late, suspect});
+  const std::vector<core::AlertEpisode> board = engine.Episodes();
+  const std::vector<core::AlertEpisode> calibration =
+      engine.CalibrationQueue();
+  ASSERT_FALSE(board.empty());
+  ASSERT_FALSE(calibration.empty());
+
+  std::istringstream is(CheckpointBytes(engine));
+  auto restored = StreamEngine::Restore(is, SyncOptions());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ExpectSameBoard((*restored)->Episodes(), board);
+  ExpectSameBoard((*restored)->CalibrationQueue(), calibration);
+
+  // Both keep extending their episode index identically.
+  Feed(engine, "s1", s1, 300, 600);
+  Feed(**restored, "s1", s1, 300, 600);
+  ExpectSameBoard((*restored)->Episodes(), engine.Episodes());
+  EXPECT_EQ(CheckpointBytes(**restored), CheckpointBytes(engine));
+}
+
 TEST(EngineCheckpoint, RestoredIdleEngineDoesNotAgeChannelsStale) {
   // Regression: a checkpoint taken while one sensor lags the frontier
   // beyond the staleness timeout, restored into a threaded engine with a

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -289,6 +291,105 @@ TEST_F(StreamEscalationTest, ConceptShiftMarksCoveringScopesDirtyOnce) {
   EXPECT_EQ(bridge.shifts_marked(), 2u);
   EXPECT_EQ(detector.cache_stats().invalidations, 1u);
   ASSERT_TRUE(engine.Stop().ok());
+}
+
+/// Poll's diff step as it was written before the merge walk: a std::set
+/// of the snapshot's ids, a lookup per alarm, then a prune pass. The
+/// reference the walk must match.
+std::vector<ActiveAlarm> ReferenceFresh(
+    const std::vector<ActiveAlarm>& active,
+    std::map<std::string, ts::TimePoint>& escalated) {
+  std::vector<ActiveAlarm> fresh;
+  std::set<std::string> active_ids;
+  for (const ActiveAlarm& alarm : active) {
+    active_ids.insert(alarm.sensor_id);
+    auto it = escalated.find(alarm.sensor_id);
+    if (it == escalated.end() || it->second != alarm.since) {
+      fresh.push_back(alarm);
+    }
+  }
+  for (auto it = escalated.begin(); it != escalated.end();) {
+    if (active_ids.count(it->first) == 0) {
+      it = escalated.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  for (const ActiveAlarm& alarm : fresh) {
+    escalated[alarm.sensor_id] = alarm.since;
+  }
+  return fresh;
+}
+
+std::vector<std::string> FreshIds(const std::vector<const ActiveAlarm*>& got) {
+  std::vector<std::string> ids;
+  for (const ActiveAlarm* alarm : got) ids.push_back(alarm->sensor_id);
+  return ids;
+}
+
+ActiveAlarm Alarm(const std::string& id, ts::TimePoint since) {
+  ActiveAlarm alarm;
+  alarm.sensor_id = id;
+  alarm.since = since;
+  return alarm;
+}
+
+TEST(TakeFreshAlarms, ReRaiseClearAndPrune) {
+  std::map<std::string, ts::TimePoint> escalated;
+  EXPECT_EQ(FreshIds(TakeFreshAlarms({Alarm("a", 1.0), Alarm("c", 2.0)},
+                                     escalated)),
+            (std::vector<std::string>{"a", "c"}));
+  // Same sensor, same since: already escalated.
+  EXPECT_TRUE(TakeFreshAlarms({Alarm("a", 1.0), Alarm("c", 2.0)}, escalated)
+                  .empty());
+  // Same sensor re-raised with a new since: fresh again.
+  EXPECT_EQ(FreshIds(TakeFreshAlarms({Alarm("a", 5.0), Alarm("c", 2.0)},
+                                     escalated)),
+            (std::vector<std::string>{"a"}));
+  // "a" clears (pruned), "b" appears between the two known ids.
+  EXPECT_EQ(FreshIds(TakeFreshAlarms({Alarm("b", 3.0), Alarm("c", 2.0)},
+                                     escalated)),
+            (std::vector<std::string>{"b"}));
+  EXPECT_EQ(escalated, (std::map<std::string, ts::TimePoint>{{"b", 3.0},
+                                                             {"c", 2.0}}));
+  // Clear then re-raise with the colliding since: fresh, because the
+  // clear pruned it.
+  EXPECT_EQ(FreshIds(TakeFreshAlarms({Alarm("a", 5.0)}, escalated)),
+            (std::vector<std::string>{"a"}));
+  EXPECT_EQ(escalated, (std::map<std::string, ts::TimePoint>{{"a", 5.0}}));
+  // Everything clears.
+  EXPECT_TRUE(TakeFreshAlarms({}, escalated).empty());
+  EXPECT_TRUE(escalated.empty());
+}
+
+TEST(TakeFreshAlarms, MatchesSetReferenceOnRandomPolls) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    std::map<std::string, ts::TimePoint> walked;
+    std::map<std::string, ts::TimePoint> reference;
+    for (int poll = 0; poll < 50; ++poll) {
+      // A snapshot's active_alarms come from the engine's map: ordered
+      // and unique by sensor id.
+      std::map<std::string, ActiveAlarm> raised;
+      const uint64_t count = rng.NextBelow(9);
+      for (uint64_t i = 0; i < count; ++i) {
+        const std::string id = "s" + std::to_string(rng.NextBelow(12));
+        raised[id] = Alarm(id, static_cast<double>(rng.NextBelow(3)));
+      }
+      std::vector<ActiveAlarm> active;
+      for (const auto& [id, alarm] : raised) active.push_back(alarm);
+
+      const std::vector<const ActiveAlarm*> got =
+          TakeFreshAlarms(active, walked);
+      const std::vector<ActiveAlarm> want = ReferenceFresh(active, reference);
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i]->sensor_id, want[i].sensor_id);
+        EXPECT_EQ(got[i]->since, want[i].since);
+      }
+      ASSERT_EQ(walked, reference) << "seed " << seed << " poll " << poll;
+    }
+  }
 }
 
 }  // namespace

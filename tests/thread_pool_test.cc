@@ -31,6 +31,15 @@ TEST(ThreadPoolTest, ExecutesSubmittedTasks) {
   std::unique_lock<std::mutex> lock(mu);
   ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
                           [&] { return count.load() == kTasks; }));
+  // The pool counts a task after it returns, so the last task's count can
+  // trail the wake-up above by a moment (and that task may still need mu).
+  lock.unlock();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (pool.tasks_executed() < static_cast<uint64_t>(kTasks) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   EXPECT_GE(pool.tasks_executed(), static_cast<uint64_t>(kTasks));
 }
 
