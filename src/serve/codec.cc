@@ -1,7 +1,7 @@
 #include "serve/codec.h"
 
+#include <algorithm>
 #include <cstddef>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -69,20 +69,31 @@ void DiffById(const std::vector<T>& base, const std::vector<T>& next,
   for (; j < next.size(); ++j) upserts->push_back(next[j]);
 }
 
-/// Applies upserts + removals to a sorted-by-id base, re-emitting in
-/// sorted order (same order the engine publishes).
+/// Applies removals, then upserts, to a sorted-by-id vector in place,
+/// keeping it sorted: an upsert replaces the entry with its id or is
+/// inserted at its sorted position (the id-keyed merge, without a map).
 template <typename T>
-std::vector<T> ApplyById(const std::vector<T>& base,
-                         const std::vector<T>& upserts,
-                         const std::vector<std::string>& removals) {
-  std::map<std::string, T> merged;
-  for (const T& entry : base) merged[entry.sensor_id] = entry;
-  for (const std::string& id : removals) merged.erase(id);
-  for (const T& entry : upserts) merged[entry.sensor_id] = entry;
-  std::vector<T> out;
-  out.reserve(merged.size());
-  for (auto& [id, entry] : merged) out.push_back(std::move(entry));
-  return out;
+void ApplyById(std::vector<T>& entries, const std::vector<T>& upserts,
+               const std::vector<std::string>& removals) {
+  const auto find = [&](const std::string& id) {
+    return std::lower_bound(
+        entries.begin(), entries.end(), id,
+        [](const T& entry, const std::string& key) {
+          return entry.sensor_id < key;
+        });
+  };
+  for (const std::string& id : removals) {
+    auto it = find(id);
+    if (it != entries.end() && it->sensor_id == id) entries.erase(it);
+  }
+  for (const T& entry : upserts) {
+    auto it = find(entry.sensor_id);
+    if (it != entries.end() && it->sensor_id == entry.sensor_id) {
+      *it = entry;
+    } else {
+      entries.insert(it, entry);
+    }
+  }
 }
 
 void WriteLevelState(std::ostream& os, const stream::LevelOutlierState& s) {
@@ -245,59 +256,56 @@ SnapshotDelta EncodeDelta(const stream::EngineSnapshot& base,
   return delta;
 }
 
-StatusOr<stream::EngineSnapshot> ApplyDelta(const stream::EngineSnapshot& base,
-                                            const SnapshotDelta& delta) {
-  if (base.sequence != delta.base_sequence) {
+Status ApplyDeltaInPlace(stream::EngineSnapshot& view,
+                         const SnapshotDelta& delta) {
+  // Validate everything first: a rejected delta leaves the view as it was.
+  if (view.sequence != delta.base_sequence) {
     return Status::FailedPrecondition(
         "delta base mismatch: subscriber must resync from a keyframe");
   }
-  stream::EngineSnapshot next;
-  next.sequence = delta.sequence;
-  next.events_seen = delta.events_seen;
-  next.ts = delta.ts;
-
-  next.levels = base.levels;
   for (const LevelDelta& change : delta.levels) {
     if (change.index >= hierarchy::kNumLevels) {
       return Status::InvalidArgument("level index out of range");
     }
-    next.levels[change.index] = change.state;
+  }
+  if (!delta.shifts_full &&
+      view.concept_shifts.size() + delta.shift_events.size() <
+          delta.shift_ring_size) {
+    return Status::InvalidArgument("delta shift ring accounting inconsistent");
   }
 
-  next.active_alarms =
-      ApplyById(base.active_alarms, delta.alarm_upserts, delta.alarm_removals);
-  next.quarantined = ApplyById(base.quarantined, delta.quarantine_upserts,
-                               delta.quarantine_removals);
-
+  view.sequence = delta.sequence;
+  view.events_seen = delta.events_seen;
+  view.ts = delta.ts;
+  for (const LevelDelta& change : delta.levels) {
+    view.levels[change.index] = change.state;
+  }
+  ApplyById(view.active_alarms, delta.alarm_upserts, delta.alarm_removals);
+  ApplyById(view.quarantined, delta.quarantine_upserts,
+            delta.quarantine_removals);
   if (delta.outage_changed) {
-    next.group_outage_active = delta.group_outage_active;
-    next.group_outage_entity = delta.group_outage_entity;
-    next.group_outage_since = delta.group_outage_since;
-    next.group_outage_sensors = delta.group_outage_sensors;
-  } else {
-    next.group_outage_active = base.group_outage_active;
-    next.group_outage_entity = base.group_outage_entity;
-    next.group_outage_since = base.group_outage_since;
-    next.group_outage_sensors = base.group_outage_sensors;
+    view.group_outage_active = delta.group_outage_active;
+    view.group_outage_entity = delta.group_outage_entity;
+    view.group_outage_since = delta.group_outage_since;
+    view.group_outage_sensors = delta.group_outage_sensors;
   }
-
-  next.concept_shifts_total = delta.concept_shifts_total;
+  view.concept_shifts_total = delta.concept_shifts_total;
   if (delta.shifts_full) {
-    next.concept_shifts = delta.shift_events;
+    view.concept_shifts = delta.shift_events;
   } else {
-    next.concept_shifts = base.concept_shifts;
-    next.concept_shifts.insert(next.concept_shifts.end(),
-                               delta.shift_events.begin(),
-                               delta.shift_events.end());
-    if (next.concept_shifts.size() < delta.shift_ring_size) {
-      return Status::InvalidArgument(
-          "delta shift ring accounting inconsistent");
-    }
-    next.concept_shifts.erase(
-        next.concept_shifts.begin(),
-        next.concept_shifts.begin() +
-            (next.concept_shifts.size() - delta.shift_ring_size));
+    std::vector<stream::ConceptShiftEvent>& ring = view.concept_shifts;
+    ring.insert(ring.end(), delta.shift_events.begin(),
+                delta.shift_events.end());
+    ring.erase(ring.begin(),
+               ring.begin() + (ring.size() - delta.shift_ring_size));
   }
+  return Status::Ok();
+}
+
+StatusOr<stream::EngineSnapshot> ApplyDelta(const stream::EngineSnapshot& base,
+                                            const SnapshotDelta& delta) {
+  stream::EngineSnapshot next = base;
+  HOD_RETURN_IF_ERROR(ApplyDeltaInPlace(next, delta));
   return next;
 }
 
@@ -328,6 +336,8 @@ void WriteSnapshot(std::ostream& os, const stream::EngineSnapshot& snapshot) {
 }
 
 StatusOr<stream::EngineSnapshot> ReadSnapshot(std::istream& is) {
+  // The counts below are untrusted: nothing is reserved from them, so a
+  // forged count fails at the first short read instead of allocating.
   stream::EngineSnapshot snapshot;
   HOD_ASSIGN_OR_RETURN(snapshot.sequence, bin::ReadU64(is));
   HOD_ASSIGN_OR_RETURN(snapshot.events_seen, bin::ReadU64(is));
@@ -337,14 +347,12 @@ StatusOr<stream::EngineSnapshot> ReadSnapshot(std::istream& is) {
   }
   uint32_t count = 0;
   HOD_ASSIGN_OR_RETURN(count, bin::ReadU32(is));
-  snapshot.active_alarms.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     stream::ActiveAlarm alarm;
     HOD_ASSIGN_OR_RETURN(alarm, ReadAlarm(is));
     snapshot.active_alarms.push_back(std::move(alarm));
   }
   HOD_ASSIGN_OR_RETURN(count, bin::ReadU32(is));
-  snapshot.quarantined.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     stream::QuarantinedSensor q;
     HOD_ASSIGN_OR_RETURN(q, ReadQuarantine(is));
@@ -357,7 +365,6 @@ StatusOr<stream::EngineSnapshot> ReadSnapshot(std::istream& is) {
   HOD_ASSIGN_OR_RETURN(snapshot.group_outage_since, bin::ReadF64(is));
   HOD_ASSIGN_OR_RETURN(snapshot.group_outage_sensors, bin::ReadU64(is));
   HOD_ASSIGN_OR_RETURN(count, bin::ReadU32(is));
-  snapshot.concept_shifts.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     stream::ConceptShiftEvent shift;
     HOD_ASSIGN_OR_RETURN(shift, ReadShift(is));

@@ -28,7 +28,7 @@ struct LevelDelta {
 ///
 /// Sorted-vector diffing relies on the engine's invariant that
 /// `active_alarms` and `quarantined` are sorted by sensor id (they are
-/// emitted from std::map iteration); ApplyDelta re-emits in sorted order.
+/// emitted from std::map iteration); ApplyDeltaInPlace keeps them sorted.
 struct SnapshotDelta {
   uint64_t base_sequence = 0;  ///< snapshot this delta applies on top of
   uint64_t sequence = 0;       ///< resulting snapshot's sequence
@@ -70,10 +70,19 @@ struct SnapshotDelta {
 SnapshotDelta EncodeDelta(const stream::EngineSnapshot& base,
                           const stream::EngineSnapshot& next);
 
-/// Reconstructs the next snapshot from `base` + `delta`. Fails with
-/// FailedPrecondition when `base.sequence != delta.base_sequence` (stale
-/// base — the subscriber must resync from a keyframe) and InvalidArgument
-/// when the delta's internal shift-ring accounting is inconsistent.
+/// Patches `view` (the delta's base, its alarm and quarantine vectors
+/// sorted by sensor id as the engine publishes them) into the next
+/// snapshot in place.
+/// Fails with FailedPrecondition when `view.sequence !=
+/// delta.base_sequence` (stale base — the subscriber must resync from a
+/// keyframe) and InvalidArgument when a level index is out of range or
+/// the delta's shift-ring accounting is inconsistent. Every check runs
+/// before the first write, so a rejected delta leaves `view` untouched.
+Status ApplyDeltaInPlace(stream::EngineSnapshot& view,
+                         const SnapshotDelta& delta);
+
+/// Copying form of ApplyDeltaInPlace: reconstructs the next snapshot from
+/// `base` + `delta`, same checks.
 StatusOr<stream::EngineSnapshot> ApplyDelta(const stream::EngineSnapshot& base,
                                             const SnapshotDelta& delta);
 

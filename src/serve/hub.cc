@@ -68,12 +68,10 @@ size_t Subscription::Drain() {
         ++stale_skipped_;
         continue;
       }
-      StatusOr<stream::EngineSnapshot> next = ApplyDelta(view_, update->delta);
-      if (!next.ok()) {
+      if (!ApplyDeltaInPlace(view_, update->delta).ok()) {
         ++stale_skipped_;
         continue;
       }
-      view_ = std::move(next).value();
       ++deltas_applied_;
       ++applied;
     }

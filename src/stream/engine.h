@@ -437,8 +437,8 @@ class StreamEngine {
   /// executor watchdog timer (pooled mode).
   void WatchdogTick();
   /// Pooled mode: arms the collector drain task (no-op if already armed).
-  /// Called by the scorer after every successful collector push and by
-  /// PushHealthEvent.
+  /// Called by the scorer after each micro-batch's collector push and
+  /// before that push blocks on a full queue, and by PushHealthEvent.
   void NotifyCollector();
   /// Pooled mode: the collector drain body, run on the service lane.
   void CollectorDrainTask();

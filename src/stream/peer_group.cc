@@ -179,7 +179,6 @@ std::optional<PeerDeviation> PeerGroupMonitor::Observe(
   if (it == index_.end()) return std::nullopt;
   std::optional<PeerDeviation> strongest;
   for (const auto& [group, slot] : it->second) {
-    std::lock_guard<std::mutex> lock(group->mu);
     std::optional<PeerDeviation> fired =
         ObserveInGroup(*group, slot, level, ts, value);
     if (!fired.has_value()) continue;
@@ -196,35 +195,45 @@ std::optional<PeerDeviation> PeerGroupMonitor::Observe(
 std::optional<PeerDeviation> PeerGroupMonitor::ObserveInGroup(
     Group& group, size_t member_index, hierarchy::ProductionLevel level,
     ts::TimePoint ts, double value) {
+  // Per-thread scratch: each observing thread reuses its buffers, so a
+  // warm observation allocates nothing.
+  thread_local std::vector<double> peers;
+  thread_local std::vector<double> work;
+  thread_local std::vector<double> spread;
   Member& self = group.members[member_index];
   // Reference: the median of the OTHER members' latest values, freshness-
-  // gated so a silent peer cannot anchor the group at a stale level.
-  std::vector<double> peers;
-  peers.reserve(group.members.size() - 1);
-  for (size_t i = 0; i < group.members.size(); ++i) {
-    if (i == member_index) continue;
-    const Member& peer = group.members[i];
-    if (!peer.has_last) continue;
-    if (ts - peer.last_ts > options_.peer_freshness) continue;
-    peers.push_back(peer.last_value);
+  // gated so a silent peer cannot anchor the group at a stale level. The
+  // group lock covers only this exchange of last values.
+  peers.clear();
+  {
+    std::lock_guard<std::mutex> lock(group.mu);
+    for (size_t i = 0; i < group.members.size(); ++i) {
+      if (i == member_index) continue;
+      const Member& peer = group.members[i];
+      if (!peer.has_last) continue;
+      if (ts - peer.last_ts > options_.peer_freshness) continue;
+      peers.push_back(peer.last_value);
+    }
+    self.has_last = true;
+    self.last_ts = ts;
+    self.last_value = value;
   }
-  self.has_last = true;
-  self.last_ts = ts;
-  self.last_value = value;
   if (peers.size() < options_.min_peers) return std::nullopt;
 
   const double residual = value - MedianInPlace(peers);
 
   std::optional<PeerDeviation> fired;
-  if (self.ring_residual.size() >= options_.warmup) {
-    std::vector<double> ring(self.ring_residual.begin(),
-                             self.ring_residual.end());
-    const double med = MedianInPlace(ring);
-    for (double& r : ring) r = std::fabs(r - med);
+  const size_t n = self.ring_size();
+  if (n >= options_.warmup) {
+    const ts::TimePoint* ring_ts = self.ring_ts.data() + self.ring_begin;
+    const double* ring_residual = self.ring_residual.data() + self.ring_begin;
+    work.assign(ring_residual, ring_residual + n);
+    const double med = MedianInPlace(work);
+    for (double& r : work) r = std::fabs(r - med);
     // 1.4826: MAD -> sigma under normality, so deviation_z reads as a
     // familiar z threshold.
     const double scale =
-        std::max(1.4826 * MedianInPlace(ring), options_.min_scale);
+        std::max(1.4826 * MedianInPlace(work), options_.min_scale);
     const double value_z = std::fabs(residual - med) / scale;
 
     // Drift test: OLS slope of the residual ring over stream time,
@@ -234,32 +243,32 @@ std::optional<PeerDeviation> PeerGroupMonitor::ObserveInGroup(
     // to its own slope, capping a raw-scaled statistic at a constant
     // (~2.7 for a pure ramp) no matter how steep the drift. Detrending
     // leaves only the noise floor below the fraction line, so the
-    // statistic grows with the drift instead of saturating.
+    // statistic grows with the drift instead of saturating. Sums run
+    // oldest to newest.
     double slope_stat = 0.0;
-    const size_t n = self.ring_residual.size();
-    const double span = self.ring_ts.back() - self.ring_ts.front();
+    const double span = ring_ts[n - 1] - ring_ts[0];
     if (n >= 3 && span > 0.0) {
       double mean_t = 0.0, mean_r = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        mean_t += self.ring_ts[i];
-        mean_r += self.ring_residual[i];
+        mean_t += ring_ts[i];
+        mean_r += ring_residual[i];
       }
       mean_t /= static_cast<double>(n);
       mean_r /= static_cast<double>(n);
       double num = 0.0, den = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        const double dt = self.ring_ts[i] - mean_t;
-        num += dt * (self.ring_residual[i] - mean_r);
+        const double dt = ring_ts[i] - mean_t;
+        num += dt * (ring_residual[i] - mean_r);
         den += dt * dt;
       }
       if (den > 0.0) {
         const double slope = num / den;
-        std::vector<double> detrended(n);
+        std::vector<double>& detrended = work;  // n entries, reused
         for (size_t i = 0; i < n; ++i) {
-          detrended[i] = self.ring_residual[i] - mean_r -
-                         slope * (self.ring_ts[i] - mean_t);
+          detrended[i] = ring_residual[i] - mean_r -
+                         slope * (ring_ts[i] - mean_t);
         }
-        std::vector<double> spread = detrended;
+        spread.assign(detrended.begin(), detrended.end());
         const double med_e = MedianInPlace(spread);
         for (size_t i = 0; i < n; ++i) {
           spread[i] = std::fabs(detrended[i] - med_e);
@@ -300,9 +309,17 @@ std::optional<PeerDeviation> PeerGroupMonitor::ObserveInGroup(
 
   self.ring_ts.push_back(ts);
   self.ring_residual.push_back(residual);
-  while (self.ring_residual.size() > options_.window) {
-    self.ring_ts.pop_front();
-    self.ring_residual.pop_front();
+  if (self.ring_size() > options_.window) {
+    self.ring_begin = self.ring_residual.size() - options_.window;
+  }
+  if (self.ring_begin >= options_.window) {
+    // The dead prefix is a full window long: slide the live ring to the
+    // front (amortized O(1) per observation, capacity stays 2 windows).
+    self.ring_ts.erase(self.ring_ts.begin(),
+                       self.ring_ts.begin() + self.ring_begin);
+    self.ring_residual.erase(self.ring_residual.begin(),
+                             self.ring_residual.begin() + self.ring_begin);
+    self.ring_begin = 0;
   }
   return fired;
 }
@@ -326,8 +343,9 @@ std::vector<PeerGroupState> PeerGroupMonitor::SaveState() const {
       ms.has_last = member.has_last;
       ms.last_ts = member.last_ts;
       ms.last_value = member.last_value;
-      ms.ring_ts.assign(member.ring_ts.begin(), member.ring_ts.end());
-      ms.ring_residual.assign(member.ring_residual.begin(),
+      ms.ring_ts.assign(member.ring_ts.begin() + member.ring_begin,
+                        member.ring_ts.end());
+      ms.ring_residual.assign(member.ring_residual.begin() + member.ring_begin,
                               member.ring_residual.end());
       ms.breach_streak = member.breach_streak;
       ms.calm_streak = member.calm_streak;
@@ -364,9 +382,9 @@ Status PeerGroupMonitor::RestoreState(
       member.has_last = ms.has_last;
       member.last_ts = ms.last_ts;
       member.last_value = ms.last_value;
-      member.ring_ts.assign(ms.ring_ts.begin(), ms.ring_ts.end());
-      member.ring_residual.assign(ms.ring_residual.begin(),
-                                  ms.ring_residual.end());
+      member.ring_ts = ms.ring_ts;
+      member.ring_residual = ms.ring_residual;
+      member.ring_begin = 0;
       member.breach_streak = ms.breach_streak;
       member.calm_streak = ms.calm_streak;
       member.fired = ms.fired;

@@ -2,7 +2,6 @@
 #define HOD_STREAM_PEER_GROUP_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -117,11 +116,19 @@ struct PeerGroupState {
 /// a rolling ring of residuals against the group median, and scores every
 /// observation's deviation and slope against that robust summary.
 ///
-/// Thread model: groups are sealed before the engine starts (AddGroup is
-/// not thread-safe); each group has its own mutex, so members scored on
-/// different shard workers serialize only against their own group. A
-/// sensor may belong to several groups; Observe visits each under its own
-/// lock (never nested) and returns the strongest fired deviation.
+/// Thread model: groups are sealed before the engine starts (AddGroup and
+/// RestoreState are not thread-safe against Observe). Every sensor is
+/// observed by exactly one thread at a time — its shard's drain thread, or
+/// the caller in synchronous mode. Each group's mutex guards only the
+/// members' last-value caches (`has_last`, `last_ts`, `last_value`): an
+/// observation takes it once to read its fresh peers' values and write its
+/// own, and scores outside it. A member's residual ring, streaks and
+/// `fired` flag are written only by its sensor's observing thread, so they
+/// need no lock; SaveState reads them only at a quiescent point (after the
+/// scorer's Flush, or with no observer running), whose release/acquire
+/// chain orders those writes before the read. A sensor may belong to
+/// several groups; Observe visits each in turn (locks never nested) and
+/// returns the strongest fired deviation.
 class PeerGroupMonitor {
  public:
   /// `stats` may be nullptr (no counting); must outlive the monitor.
@@ -168,15 +175,25 @@ class PeerGroupMonitor {
  private:
   struct Member {
     std::string sensor_id;
+    /// Last-value cache, read by the peers' observers: guarded by
+    /// Group::mu.
     bool has_last = false;
     ts::TimePoint last_ts = 0.0;
     double last_value = 0.0;
-    std::deque<ts::TimePoint> ring_ts;
-    std::deque<double> ring_residual;
+    /// Residual ring, oldest to newest: entries [ring_begin, size()) of
+    /// these parallel buffers. Appends go to the back; the dead prefix is
+    /// erased once it is a full window long, so the live ring is always
+    /// contiguous and allocation stops after warm-up. Private to the
+    /// member's observing thread.
+    std::vector<ts::TimePoint> ring_ts;
+    std::vector<double> ring_residual;
+    size_t ring_begin = 0;
     uint64_t breach_streak = 0;
     uint64_t calm_streak = 0;
     bool fired = false;
     uint64_t deviations = 0;
+
+    size_t ring_size() const { return ring_residual.size() - ring_begin; }
   };
 
   struct Group {
@@ -186,7 +203,8 @@ class PeerGroupMonitor {
     std::map<std::string, size_t> member_index;
   };
 
-  /// Scores one observation within one group. Caller holds `group.mu`.
+  /// Scores one observation within one group. Takes `group.mu` only for
+  /// the last-value exchange.
   std::optional<PeerDeviation> ObserveInGroup(
       Group& group, size_t member_index, hierarchy::ProductionLevel level,
       ts::TimePoint ts, double value);

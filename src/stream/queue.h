@@ -189,6 +189,35 @@ class BoundedQueue final : public ShardQueue<T> {
     return Status::Ok();
   }
 
+  /// Enqueues `items` in order under kBlock: one lock acquisition and one
+  /// consumer wakeup per stretch of free slots instead of per item. When
+  /// the queue fills with items left, `before_block()` runs (outside the
+  /// lock) before the producer parks — a consumer that runs only when
+  /// notified (a pooled drain task) must be woken before the producer
+  /// waits on it, or neither makes progress. Returns how many items were
+  /// enqueued: all of them, or the prefix accepted before Close(). The
+  /// enqueued items are moved from.
+  template <typename BeforeBlock>
+  size_t PushBatch(std::vector<T>& items, BeforeBlock&& before_block) {
+    size_t pushed = 0;
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!closed_) {
+      const size_t n = std::min(capacity_ - size_, items.size() - pushed);
+      for (size_t i = 0; i < n; ++i) {
+        ring_[(head_ + size_) % capacity_] = std::move(items[pushed++]);
+        ++size_;
+      }
+      if (size_ > high_water_) high_water_ = size_;
+      if (n > 0) not_empty_.notify_one();
+      if (pushed == items.size()) break;
+      lock.unlock();
+      before_block();
+      lock.lock();
+      not_full_.wait(lock, [&] { return size_ < capacity_ || closed_; });
+    }
+    return pushed;
+  }
+
   /// Moves up to `max_batch` items into `out` (appended). Blocks while the
   /// queue is open and empty. Returns false once the queue is closed AND
   /// drained — the consumer's signal to exit its loop.

@@ -110,7 +110,7 @@ bool ShardedScorer::ApplyShiftReset(Shard& shard, size_t lane,
   return frozen;
 }
 
-void ShardedScorer::ForwardShiftEvent(const SensorSample& sample,
+void ShardedScorer::ForwardShiftEvent(Shard& shard, const SensorSample& sample,
                                       const core::BocpdShift& shift) {
   if (collector_ == nullptr) return;
   ScoredSample event;
@@ -124,7 +124,7 @@ void ShardedScorer::ForwardShiftEvent(const SensorSample& sample,
   event.shift_magnitude = shift.shift.magnitude_sigmas;
   event.shift_evidence = shift.evidence;
   event.shift_run_length = shift.run_length;
-  ForwardToCollector(std::move(event));
+  Emit(shard, std::move(event));
 }
 
 Status ShardedScorer::Start() {
@@ -265,7 +265,14 @@ StatusOr<InlineScore> ShardedScorer::ScoreNow(size_t shard,
   if (lane == core::BatchMonitorBank::kNotFound) {
     return Status::NotFound("no monitor for sensor: " + sample.sensor_id);
   }
-  const HealthGateResult gate = HealthGate(sample);
+  StatusOr<InlineScore> result = ScoreInline(s, lane, sample);
+  FlushOutbox(s);
+  return result;
+}
+
+StatusOr<InlineScore> ShardedScorer::ScoreInline(Shard& s, size_t lane,
+                                                 const SensorSample& sample) {
+  const HealthGateResult gate = HealthGate(s, sample);
   if (health_ != nullptr && health_->enabled()) {
     SyncBaselineFreeze(s, lane, gate.score);
   }
@@ -273,7 +280,7 @@ StatusOr<InlineScore> ShardedScorer::ScoreNow(size_t shard,
   if (!gate.score) return result;  // quarantined: withheld from the monitor
   HOD_ASSIGN_OR_RETURN(result.update, s.bank.Push(lane, sample.value));
   result.scored = true;
-  ObservePeers(sample, gate.forward);
+  ObservePeers(s, sample, gate.forward);
   const core::MonitorUpdate& update = result.update;
   if (stats_ != nullptr) {
     stats_->RecordScored(1);
@@ -295,7 +302,7 @@ StatusOr<InlineScore> ShardedScorer::ScoreNow(size_t shard,
     scored.value = sample.value;
     scored.update = update;
     // Internal pipeline edge: lossless regardless of the ingress policy.
-    ForwardToCollector(std::move(scored));
+    Emit(s, std::move(scored));
   }
   // The shift detector sees the sample after the monitor scored it, so a
   // confirm re-baselines before the NEXT sample — same sequencing as the
@@ -304,7 +311,7 @@ StatusOr<InlineScore> ShardedScorer::ScoreNow(size_t shard,
     bool deferred = false;
     std::optional<core::BocpdShift> shift =
         FeedBocpd(s, lane, sample, &deferred);
-    if (shift.has_value()) ForwardShiftEvent(sample, *shift);
+    if (shift.has_value()) ForwardShiftEvent(s, sample, *shift);
   }
   return result;
 }
@@ -531,7 +538,7 @@ void ShardedScorer::ProcessBatch(size_t shard_index,
     if (lane == core::BatchMonitorBank::kNotFound) {
       continue;  // router guarantees this
     }
-    const HealthGateResult gate = HealthGate(sample);
+    const HealthGateResult gate = HealthGate(shard, sample);
     if (health_ != nullptr && health_->enabled()) {
       SyncBaselineFreeze(shard, lane, gate.score);
     }
@@ -591,7 +598,7 @@ void ShardedScorer::ProcessBatch(size_t shard_index,
     const bool has_shift = shift_idx < shard.batch_shifts.size() &&
                            shard.batch_shifts[shift_idx].admitted_row == t;
     const bool forward = shard.batch_forward[t] != 0;
-    ObservePeers(sample, forward);
+    ObservePeers(shard, sample, forward);
     const core::MonitorUpdate& update = shard.batch_updates[t];
     // Recovering sensors feed their monitor (to re-warm the baseline) but
     // their updates are withheld from the collector — and from the alarm
@@ -614,16 +621,17 @@ void ShardedScorer::ProcessBatch(size_t shard_index,
       out.ts = sample.ts;
       out.value = sample.value;
       out.update = update;
-      ForwardToCollector(std::move(out));
+      Emit(shard, std::move(out));
     }
     if (has_shift) {
       // Operational metadata, forwarded regardless of the recovery gate:
       // the collector must learn the channel was re-baselined.
-      ForwardShiftEvent(sample, shard.batch_shifts[shift_idx].shift);
+      ForwardShiftEvent(shard, sample, shard.batch_shifts[shift_idx].shift);
       ++shift_idx;
     }
   }
   if (stats_ != nullptr && scored > 0) stats_->RecordScored(scored);
+  FlushOutbox(shard);
   shard.processed.fetch_add(batch.size(), std::memory_order_release);
   shard.heartbeat.fetch_add(1, std::memory_order_release);
   {
@@ -633,15 +641,15 @@ void ShardedScorer::ProcessBatch(size_t shard_index,
 }
 
 ShardedScorer::HealthGateResult ShardedScorer::HealthGate(
-    const SensorSample& sample) {
+    Shard& shard, const SensorSample& sample) {
   HealthGateResult gate;
   if (health_ == nullptr || !health_->enabled()) return gate;
   const HealthObservation obs =
       health_->Observe(sample.sensor_id, sample.ts, sample.value);
   if (obs.entered_quarantine) {
-    ForwardEvent(StreamEventKind::kSensorFault, sample, obs.signal);
+    ForwardEvent(shard, StreamEventKind::kSensorFault, sample, obs.signal);
   } else if (obs.recovered) {
-    ForwardEvent(StreamEventKind::kSensorRecovered, sample,
+    ForwardEvent(shard, StreamEventKind::kSensorRecovered, sample,
                  HealthSignal::kClean);
   }
   switch (obs.state) {
@@ -663,7 +671,7 @@ ShardedScorer::HealthGateResult ShardedScorer::HealthGate(
   return gate;
 }
 
-void ShardedScorer::ForwardEvent(StreamEventKind kind,
+void ShardedScorer::ForwardEvent(Shard& shard, StreamEventKind kind,
                                  const SensorSample& sample,
                                  HealthSignal reason) {
   if (collector_ == nullptr) return;
@@ -674,10 +682,11 @@ void ShardedScorer::ForwardEvent(StreamEventKind kind,
   event.ts = sample.ts;
   event.value = sample.value;
   event.fault_reason = reason;
-  ForwardToCollector(std::move(event));
+  Emit(shard, std::move(event));
 }
 
-void ShardedScorer::ObservePeers(const SensorSample& sample, bool forward) {
+void ShardedScorer::ObservePeers(Shard& shard, const SensorSample& sample,
+                                 bool forward) {
   if (peers_ == nullptr || !peers_->enabled()) return;
   std::optional<PeerDeviation> fired =
       peers_->Observe(sample.sensor_id, sample.level, sample.ts, sample.value);
@@ -691,22 +700,33 @@ void ShardedScorer::ObservePeers(const SensorSample& sample, bool forward) {
   event.peer_group = fired->group_id;
   event.peer_value_z = fired->value_z;
   event.peer_slope_z = fired->slope_z;
-  ForwardToCollector(std::move(event));
+  Emit(shard, std::move(event));
 }
 
-void ShardedScorer::ForwardToCollector(ScoredSample event) {
+void ShardedScorer::Emit(Shard& shard, ScoredSample event) {
   if (collector_ == nullptr) return;
-  Status status = collector_->Push(std::move(event));
-  if (status.ok()) {
-    forwarded_.fetch_add(1, std::memory_order_release);
+  shard.outbox.push_back(std::move(event));
+}
+
+void ShardedScorer::FlushOutbox(Shard& shard) {
+  if (shard.outbox.empty()) return;
+  const size_t pushed = collector_->PushBatch(shard.outbox, [this] {
     if (options_.collector_notify) options_.collector_notify();
-    return;
+  });
+  const size_t refused = shard.outbox.size() - pushed;
+  shard.outbox.clear();
+  if (pushed > 0) {
+    forwarded_.fetch_add(pushed, std::memory_order_release);
+    if (options_.collector_notify) options_.collector_notify();
   }
+  if (refused == 0) return;
   // The collector refused (it closes before the scorer during engine
-  // shutdown). Counting this push as forwarded would make the engine's
-  // Flush wait for a collected_ count that can never arrive.
-  forward_failed_.fetch_add(1, std::memory_order_release);
-  if (stats_ != nullptr) stats_->RecordForwardFailed();
+  // shutdown). Counting these as forwarded would make the engine's Flush
+  // wait for a collected_ count that can never arrive.
+  forward_failed_.fetch_add(refused, std::memory_order_release);
+  if (stats_ != nullptr) {
+    for (size_t i = 0; i < refused; ++i) stats_->RecordForwardFailed();
+  }
 }
 
 }  // namespace hod::stream

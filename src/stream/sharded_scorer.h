@@ -133,9 +133,10 @@ struct ShardedScorerOptions {
   /// executor must outlive the scorer and must not shut down before
   /// Stop() returns.
   util::ThreadPool* executor = nullptr;
-  /// Called after every successful push to the collector queue (executor
-  /// mode): the engine uses it to arm its pooled collector-drain task,
-  /// replacing the blocking PopBatch thread.
+  /// Called after every collector batch push, and before a push blocks
+  /// on a full collector queue (executor mode): the engine uses it to arm
+  /// its pooled collector-drain task, replacing the blocking PopBatch
+  /// thread.
   std::function<void()> collector_notify;
 };
 
@@ -288,6 +289,9 @@ class ShardedScorer {
     std::vector<unsigned char> batch_forward;
     std::vector<core::MonitorUpdate> batch_updates;
     std::vector<unsigned char> batch_scored;
+    /// Collector events of the batch being scored, in emission order;
+    /// FlushOutbox hands them to the collector in one push.
+    std::vector<ScoredSample> outbox;
     std::atomic<uint64_t> submitted{0};
     std::atomic<uint64_t> processed{0};
     std::atomic<uint64_t> heartbeat{0};
@@ -322,16 +326,27 @@ class ShardedScorer {
   /// observation / alarm accounting / collector forwarding in sample
   /// order. Per-sensor event order is unchanged from the per-sample path.
   void ProcessBatch(size_t shard_index, std::vector<SensorSample>& batch);
-  /// Pushes one event to the collector, counting it in forwarded_ only on
-  /// success and in forward_failed_ (+ stats) otherwise.
-  void ForwardToCollector(ScoredSample event);
-  /// Health-gates one sample: forwards fault/recovery events, and reports
+  /// Scores one sample for ScoreNow once its lane is resolved; events go
+  /// to the shard's outbox.
+  StatusOr<InlineScore> ScoreInline(Shard& shard, size_t lane,
+                                    const SensorSample& sample);
+  /// Queues one collector event on the shard's outbox (no-op without a
+  /// collector).
+  void Emit(Shard& shard, ScoredSample event);
+  /// Hands the shard's outbox to the collector in one batch push (one
+  /// lock, one wakeup; the collector is notified before the push would
+  /// block on a full queue). Accepted events count in forwarded_, refused
+  /// ones (closed collector) in forward_failed_ and the stats. Called
+  /// before the batch's `processed` bump, so Flush never sees a scored
+  /// batch whose events are not yet counted.
+  void FlushOutbox(Shard& shard);
+  /// Health-gates one sample: emits fault/recovery events, and reports
   /// whether to score it and whether its results may feed the collector.
   struct HealthGateResult {
     bool score = true;    ///< feed the sample to the monitor
     bool forward = true;  ///< let scores/alarms reach the collector
   };
-  HealthGateResult HealthGate(const SensorSample& sample);
+  HealthGateResult HealthGate(Shard& shard, const SensorSample& sample);
   /// Baseline-lifecycle transitions driven by the health gate: the first
   /// quarantined sample freezes the lane's baseline, the first admitted
   /// sample after quarantine thaws it (applying any reset a concept shift
@@ -352,15 +367,15 @@ class ShardedScorer {
   /// reset was parked for the thaw.
   bool ApplyShiftReset(Shard& shard, size_t lane,
                        const core::BocpdShift& shift);
-  /// Builds and forwards one kConceptShift collector event.
-  void ForwardShiftEvent(const SensorSample& sample,
+  /// Builds and emits one kConceptShift collector event.
+  void ForwardShiftEvent(Shard& shard, const SensorSample& sample,
                          const core::BocpdShift& shift);
-  void ForwardEvent(StreamEventKind kind, const SensorSample& sample,
-                    HealthSignal reason);
+  void ForwardEvent(Shard& shard, StreamEventKind kind,
+                    const SensorSample& sample, HealthSignal reason);
   /// Feeds one health-admitted sample to the peer-group monitor; a fired
-  /// deviation is forwarded to the collector when `forward` allows it (a
+  /// deviation is emitted to the collector when `forward` allows it (a
   /// recovering channel still updates its peer state silently).
-  void ObservePeers(const SensorSample& sample, bool forward);
+  void ObservePeers(Shard& shard, const SensorSample& sample, bool forward);
 
   ShardedScorerOptions options_;
   StreamStats* stats_;

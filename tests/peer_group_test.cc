@@ -9,9 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <deque>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/report.h"
@@ -174,6 +181,376 @@ TEST(PeerGroupMonitor, SaveRestoreRoundTrip) {
   PeerGroupState unknown;
   unknown.group_id = "nope";
   EXPECT_FALSE(restored.RestoreState({unknown}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the allocating, deque-based observation the monitor used before
+// its rings became contiguous and its scoring moved outside the group lock.
+// Single-threaded, so it needs no lock at all.
+
+double OracleMedian(std::vector<double>& values) {
+  const size_t n = values.size();
+  const size_t mid = n / 2;
+  std::nth_element(values.begin(), values.begin() + mid, values.end());
+  const double upper = values[mid];
+  if (n % 2 == 1) return upper;
+  const double lower =
+      *std::max_element(values.begin(), values.begin() + mid);
+  return 0.5 * (lower + upper);
+}
+
+class OraclePeerMonitor {
+ public:
+  explicit OraclePeerMonitor(PeerGroupOptions options)
+      : options_(std::move(options)) {
+    if (options_.window == 0) options_.window = 1;
+    if (options_.warmup == 0) options_.warmup = 1;
+    if (options_.warmup > options_.window) options_.warmup = options_.window;
+    if (options_.deviation_after == 0) options_.deviation_after = 1;
+  }
+
+  void AddGroup(const std::string& group_id,
+                const std::vector<std::string>& members) {
+    Group& group = groups_[group_id];
+    group.group_id = group_id;
+    const std::set<std::string> distinct(members.begin(), members.end());
+    for (const std::string& id : distinct) {
+      index_[id].emplace_back(group_id, group.members.size());
+      Member member;
+      member.sensor_id = id;
+      group.members.push_back(std::move(member));
+    }
+  }
+
+  std::optional<PeerDeviation> Observe(const std::string& sensor_id,
+                                       ProductionLevel level,
+                                       ts::TimePoint ts, double value) {
+    auto it = index_.find(sensor_id);
+    if (it == index_.end()) return std::nullopt;
+    std::optional<PeerDeviation> strongest;
+    for (const auto& [group_id, slot] : it->second) {
+      std::optional<PeerDeviation> fired =
+          ObserveInGroup(groups_.at(group_id), slot, level, ts, value);
+      if (!fired.has_value()) continue;
+      if (!strongest.has_value() ||
+          std::max(fired->value_z, fired->slope_z) >
+              std::max(strongest->value_z, strongest->slope_z)) {
+        strongest = std::move(fired);
+      }
+    }
+    return strongest;
+  }
+
+  std::vector<PeerGroupState> SaveState() const {
+    std::vector<PeerGroupState> out;
+    for (const auto& [group_id, group] : groups_) {
+      PeerGroupState state;
+      state.group_id = group_id;
+      for (const Member& member : group.members) {
+        PeerMemberState ms;
+        ms.sensor_id = member.sensor_id;
+        ms.has_last = member.has_last;
+        ms.last_ts = member.last_ts;
+        ms.last_value = member.last_value;
+        ms.ring_ts.assign(member.ring_ts.begin(), member.ring_ts.end());
+        ms.ring_residual.assign(member.ring_residual.begin(),
+                                member.ring_residual.end());
+        ms.breach_streak = member.breach_streak;
+        ms.calm_streak = member.calm_streak;
+        ms.fired = member.fired;
+        ms.deviations = member.deviations;
+        state.members.push_back(std::move(ms));
+      }
+      out.push_back(std::move(state));
+    }
+    return out;
+  }
+
+ private:
+  struct Member {
+    std::string sensor_id;
+    bool has_last = false;
+    ts::TimePoint last_ts = 0.0;
+    double last_value = 0.0;
+    std::deque<ts::TimePoint> ring_ts;
+    std::deque<double> ring_residual;
+    uint64_t breach_streak = 0;
+    uint64_t calm_streak = 0;
+    bool fired = false;
+    uint64_t deviations = 0;
+  };
+  struct Group {
+    std::string group_id;
+    std::vector<Member> members;
+  };
+
+  std::optional<PeerDeviation> ObserveInGroup(Group& group,
+                                              size_t member_index,
+                                              ProductionLevel level,
+                                              ts::TimePoint ts, double value) {
+    Member& self = group.members[member_index];
+    std::vector<double> peers;
+    for (size_t i = 0; i < group.members.size(); ++i) {
+      if (i == member_index) continue;
+      const Member& peer = group.members[i];
+      if (!peer.has_last) continue;
+      if (ts - peer.last_ts > options_.peer_freshness) continue;
+      peers.push_back(peer.last_value);
+    }
+    self.has_last = true;
+    self.last_ts = ts;
+    self.last_value = value;
+    if (peers.size() < options_.min_peers) return std::nullopt;
+    const double residual = value - OracleMedian(peers);
+
+    std::optional<PeerDeviation> fired;
+    if (self.ring_residual.size() >= options_.warmup) {
+      std::vector<double> ring(self.ring_residual.begin(),
+                               self.ring_residual.end());
+      const double med = OracleMedian(ring);
+      for (double& r : ring) r = std::fabs(r - med);
+      const double scale =
+          std::max(1.4826 * OracleMedian(ring), options_.min_scale);
+      const double value_z = std::fabs(residual - med) / scale;
+      double slope_stat = 0.0;
+      const size_t n = self.ring_residual.size();
+      const double span = self.ring_ts.back() - self.ring_ts.front();
+      if (n >= 3 && span > 0.0) {
+        double mean_t = 0.0, mean_r = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+          mean_t += self.ring_ts[i];
+          mean_r += self.ring_residual[i];
+        }
+        mean_t /= static_cast<double>(n);
+        mean_r /= static_cast<double>(n);
+        double num = 0.0, den = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+          const double dt = self.ring_ts[i] - mean_t;
+          num += dt * (self.ring_residual[i] - mean_r);
+          den += dt * dt;
+        }
+        if (den > 0.0) {
+          const double slope = num / den;
+          std::vector<double> detrended(n);
+          for (size_t i = 0; i < n; ++i) {
+            detrended[i] = self.ring_residual[i] - mean_r -
+                           slope * (self.ring_ts[i] - mean_t);
+          }
+          std::vector<double> spread = detrended;
+          const double med_e = OracleMedian(spread);
+          for (size_t i = 0; i < n; ++i) {
+            spread[i] = std::fabs(detrended[i] - med_e);
+          }
+          const double noise_scale =
+              std::max(1.4826 * OracleMedian(spread), options_.min_scale);
+          slope_stat = std::fabs(slope) * span / noise_scale;
+        }
+      }
+      const bool breach =
+          value_z > options_.deviation_z || slope_stat > options_.slope_z;
+      if (breach) {
+        self.calm_streak = 0;
+        ++self.breach_streak;
+        if (self.breach_streak >= options_.deviation_after && !self.fired) {
+          self.fired = true;
+          ++self.deviations;
+          PeerDeviation deviation;
+          deviation.sensor_id = self.sensor_id;
+          deviation.group_id = group.group_id;
+          deviation.level = level;
+          deviation.ts = ts;
+          deviation.value = value;
+          deviation.residual = residual;
+          deviation.value_z = value_z;
+          deviation.slope_z = slope_stat;
+          fired = std::move(deviation);
+        }
+      } else {
+        self.breach_streak = 0;
+        ++self.calm_streak;
+        if (self.fired && self.calm_streak >= options_.rearm_streak) {
+          self.fired = false;
+        }
+      }
+    }
+    self.ring_ts.push_back(ts);
+    self.ring_residual.push_back(residual);
+    while (self.ring_residual.size() > options_.window) {
+      self.ring_ts.pop_front();
+      self.ring_residual.pop_front();
+    }
+    return fired;
+  }
+
+  PeerGroupOptions options_;
+  std::map<std::string, Group> groups_;
+  std::map<std::string, std::vector<std::pair<std::string, size_t>>> index_;
+};
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+void ExpectSameDeviation(const std::optional<PeerDeviation>& got,
+                         const std::optional<PeerDeviation>& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!got.has_value()) return;
+  EXPECT_EQ(got->sensor_id, want->sensor_id) << where;
+  EXPECT_EQ(got->group_id, want->group_id) << where;
+  EXPECT_EQ(got->level, want->level) << where;
+  EXPECT_EQ(Bits(got->ts), Bits(want->ts)) << where;
+  EXPECT_EQ(Bits(got->value), Bits(want->value)) << where;
+  EXPECT_EQ(Bits(got->residual), Bits(want->residual)) << where;
+  EXPECT_EQ(Bits(got->value_z), Bits(want->value_z)) << where;
+  EXPECT_EQ(Bits(got->slope_z), Bits(want->slope_z)) << where;
+}
+
+std::vector<uint64_t> AllBits(const std::vector<double>& values) {
+  std::vector<uint64_t> out;
+  for (double v : values) out.push_back(Bits(v));
+  return out;
+}
+
+void ExpectSameState(const std::vector<PeerGroupState>& got,
+                     const std::vector<PeerGroupState>& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t g = 0; g < got.size(); ++g) {
+    ASSERT_EQ(got[g].group_id, want[g].group_id) << where;
+    ASSERT_EQ(got[g].members.size(), want[g].members.size()) << where;
+    for (size_t m = 0; m < got[g].members.size(); ++m) {
+      const PeerMemberState& a = got[g].members[m];
+      const PeerMemberState& b = want[g].members[m];
+      const std::string at = where + " " + a.sensor_id + "@" + got[g].group_id;
+      EXPECT_EQ(a.sensor_id, b.sensor_id) << at;
+      EXPECT_EQ(a.has_last, b.has_last) << at;
+      EXPECT_EQ(Bits(a.last_ts), Bits(b.last_ts)) << at;
+      EXPECT_EQ(Bits(a.last_value), Bits(b.last_value)) << at;
+      EXPECT_EQ(AllBits(a.ring_ts), AllBits(b.ring_ts)) << at;
+      EXPECT_EQ(AllBits(a.ring_residual), AllBits(b.ring_residual)) << at;
+      EXPECT_EQ(a.breach_streak, b.breach_streak) << at;
+      EXPECT_EQ(a.calm_streak, b.calm_streak) << at;
+      EXPECT_EQ(a.fired, b.fired) << at;
+      EXPECT_EQ(a.deviations, b.deviations) << at;
+    }
+  }
+}
+
+/// 1,000 seeded sequences against the oracle: every observation's fired
+/// deviation (value_z and slope_z bit-identical) and the final SaveState.
+/// Group shapes rotate through a pair, one 3–5-member group, two groups
+/// sharing a sensor, and a mix; small windows wrap many times, warm-up is
+/// crossed from empty, rare sensors and time jumps leave peers stale, and
+/// most sequences checkpoint mid-stream into a fresh monitor (restored
+/// from the oracle's state) that carries on.
+TEST(PeerGroupMonitor, MatchesAllocatingOracleOn1000SeededSequences) {
+  size_t fires = 0;
+  size_t restores = 0;
+  size_t stale_gaps = 0;
+  for (uint64_t seed = 1; seed <= 1000; ++seed) {
+    Rng rng(seed);
+    PeerGroupOptions options;
+    options.window = 2 + rng.NextBelow(23);
+    options.warmup = 1 + rng.NextBelow(options.window);
+    options.min_peers = 1 + rng.NextBelow(2);
+    options.peer_freshness = rng.NextBelow(2) == 0 ? 3.0 : 40.0;
+    options.deviation_z = rng.Uniform(1.5, 5.0);
+    options.slope_z = rng.Uniform(1.5, 5.0);
+    options.deviation_after = 1 + rng.NextBelow(3);
+    options.rearm_streak = 1 + rng.NextBelow(12);
+
+    std::vector<std::pair<std::string, std::vector<std::string>>> groups;
+    switch (seed % 4) {
+      case 0:
+        groups.push_back({"pair", {"s0", "s1"}});
+        break;
+      case 1: {
+        std::vector<std::string> members;
+        const size_t size = 3 + rng.NextBelow(3);
+        for (size_t i = 0; i < size; ++i) {
+          members.push_back("s" + std::to_string(i));
+        }
+        groups.push_back({"group", members});
+        break;
+      }
+      case 2:
+        groups.push_back({"left", {"s0", "s1", "shared"}});
+        groups.push_back({"right", {"shared", "s2", "s3", "s4"}});
+        break;
+      default:
+        groups.push_back({"pair", {"s0", "s1"}});
+        groups.push_back({"trio", {"s1", "s2", "s3"}});
+        groups.push_back({"quad", {"s3", "s4", "s5", "s6"}});
+        break;
+    }
+    std::vector<std::string> sensors;
+    for (const auto& [id, members] : groups) {
+      for (const std::string& member : members) {
+        if (std::find(sensors.begin(), sensors.end(), member) ==
+            sensors.end()) {
+          sensors.push_back(member);
+        }
+      }
+    }
+    const auto make_monitor = [&] {
+      auto monitor = std::make_unique<PeerGroupMonitor>(options);
+      for (const auto& [id, members] : groups) {
+        EXPECT_TRUE(monitor->AddGroup(id, members).ok());
+      }
+      return monitor;
+    };
+    std::unique_ptr<PeerGroupMonitor> monitor = make_monitor();
+    OraclePeerMonitor oracle(options);
+    for (const auto& [id, members] : groups) oracle.AddGroup(id, members);
+
+    const size_t steps = 120 + rng.NextBelow(240);
+    const size_t restore_at =
+        seed % 5 == 0 ? steps : rng.NextBelow(static_cast<uint64_t>(steps));
+    const size_t drifter = rng.NextBelow(sensors.size());
+    const size_t rare = rng.NextBelow(sensors.size());
+    double ts = 0.0;
+    for (size_t step = 0; step < steps; ++step) {
+      if (step == restore_at) {
+        std::unique_ptr<PeerGroupMonitor> restored = make_monitor();
+        ASSERT_TRUE(restored->RestoreState(oracle.SaveState()).ok());
+        ExpectSameState(restored->SaveState(), monitor->SaveState(),
+                        "seed " + std::to_string(seed) + " restore");
+        monitor = std::move(restored);
+        ++restores;
+      }
+      size_t who = rng.NextBelow(sensors.size());
+      if (who == rare && rng.NextBelow(4) != 0) {
+        who = (who + 1) % sensors.size();
+      }
+      if (rng.NextBelow(40) == 0) {
+        ts += 10.0 + rng.Uniform(0.0, 50.0);  // leaves peers stale
+        ++stale_gaps;
+      } else {
+        ts += rng.NextBelow(4) == 0 ? 0.0 : rng.Uniform(0.0, 2.0);
+      }
+      double value = 10.0 + rng.Gaussian(0.0, 0.1);
+      if (who == drifter && step > steps / 3) {
+        value += 0.02 * static_cast<double>(step - steps / 3);
+      }
+      if (rng.NextBelow(25) == 0) value += rng.Uniform(-3.0, 3.0);
+      if (rng.NextBelow(60) == 0) value = 10.0;  // exact ties
+      const std::optional<PeerDeviation> got = monitor->Observe(
+          sensors[who], ProductionLevel::kPhase, ts, value);
+      const std::optional<PeerDeviation> want =
+          oracle.Observe(sensors[who], ProductionLevel::kPhase, ts, value);
+      ExpectSameDeviation(got, want,
+                          "seed " + std::to_string(seed) + " step " +
+                              std::to_string(step));
+      if (got.has_value()) ++fires;
+      if (::testing::Test::HasFailure()) return;
+    }
+    ExpectSameState(monitor->SaveState(), oracle.SaveState(),
+                    "seed " + std::to_string(seed) + " end");
+    if (::testing::Test::HasFailure()) return;
+  }
+  // The sweep must actually exercise the firing, restore and stale paths.
+  EXPECT_GT(fires, 1000u);
+  EXPECT_GT(restores, 700u);
+  EXPECT_GT(stale_gaps, 1000u);
 }
 
 // ---------------------------------------------------------------------------

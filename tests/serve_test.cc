@@ -168,31 +168,6 @@ TEST(ServeCodec, SnapshotBytesRoundTrip) {
   }
 }
 
-/// The parity property the whole tier rests on: for 1k random snapshot
-/// pairs — both evolution chains (producer-consecutive) and entirely
-/// unrelated pairs — delta apply reconstructs the target byte-for-byte.
-TEST(ServeCodec, DeltaApplyEqualsFullSnapshotOn1kRandomPairs) {
-  Rng rng(42);
-  EngineSnapshot chained = RandomSnapshot(rng, 1);
-  for (int i = 0; i < 1000; ++i) {
-    EngineSnapshot base;
-    EngineSnapshot next;
-    if (i % 2 == 0) {
-      base = chained;
-      next = EvolveSnapshot(rng, base);
-      chained = next;
-    } else {
-      base = RandomSnapshot(rng, rng.NextBelow(1000) + 1);
-      next = RandomSnapshot(rng, base.sequence + 1 + rng.NextBelow(10));
-    }
-    const SnapshotDelta delta = EncodeDelta(base, next);
-    auto applied = ApplyDelta(base, delta);
-    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-    ASSERT_EQ(EncodeSnapshotBytes(applied.value()), EncodeSnapshotBytes(next))
-        << "pair " << i;
-  }
-}
-
 TEST(ServeCodec, DeltaOmitsUnchangedState) {
   Rng rng(3);
   const EngineSnapshot base = RandomSnapshot(rng, 5);
@@ -223,6 +198,139 @@ TEST(ServeCodec, ApplyRejectsStaleBase) {
   const auto applied = ApplyDelta(wrong, delta);
   ASSERT_FALSE(applied.ok());
   EXPECT_EQ(applied.status().code(), StatusCode::kFailedPrecondition);
+}
+
+/// The id-keyed map merge ApplyDelta used before the in-place apply: the
+/// oracle the in-place form must match.
+template <typename T>
+std::vector<T> MapApplyById(const std::vector<T>& base,
+                            const std::vector<T>& upserts,
+                            const std::vector<std::string>& removals) {
+  std::map<std::string, T> merged;
+  for (const T& entry : base) merged[entry.sensor_id] = entry;
+  for (const std::string& id : removals) merged.erase(id);
+  for (const T& entry : upserts) merged[entry.sensor_id] = entry;
+  std::vector<T> out;
+  for (auto& [id, entry] : merged) out.push_back(std::move(entry));
+  return out;
+}
+
+std::optional<EngineSnapshot> MapApplyDelta(const EngineSnapshot& base,
+                                            const SnapshotDelta& delta) {
+  if (base.sequence != delta.base_sequence) return std::nullopt;
+  EngineSnapshot next = base;
+  next.sequence = delta.sequence;
+  next.events_seen = delta.events_seen;
+  next.ts = delta.ts;
+  for (const LevelDelta& change : delta.levels) {
+    if (change.index >= hierarchy::kNumLevels) return std::nullopt;
+    next.levels[change.index] = change.state;
+  }
+  next.active_alarms =
+      MapApplyById(base.active_alarms, delta.alarm_upserts, delta.alarm_removals);
+  next.quarantined = MapApplyById(base.quarantined, delta.quarantine_upserts,
+                                  delta.quarantine_removals);
+  if (delta.outage_changed) {
+    next.group_outage_active = delta.group_outage_active;
+    next.group_outage_entity = delta.group_outage_entity;
+    next.group_outage_since = delta.group_outage_since;
+    next.group_outage_sensors = delta.group_outage_sensors;
+  }
+  next.concept_shifts_total = delta.concept_shifts_total;
+  if (delta.shifts_full) {
+    next.concept_shifts = delta.shift_events;
+  } else {
+    next.concept_shifts.insert(next.concept_shifts.end(),
+                               delta.shift_events.begin(),
+                               delta.shift_events.end());
+    if (next.concept_shifts.size() < delta.shift_ring_size) return std::nullopt;
+    next.concept_shifts.erase(
+        next.concept_shifts.begin(),
+        next.concept_shifts.begin() +
+            (next.concept_shifts.size() - delta.shift_ring_size));
+  }
+  return next;
+}
+
+/// The parity property the whole tier rests on: for 1k random snapshot
+/// pairs — both evolution chains (producer-consecutive) and entirely
+/// unrelated pairs — the copying apply, the in-place apply and the
+/// map-merge oracle all reconstruct the target byte-for-byte. Each pair's
+/// delta is also corrupted three ways (stale base, level index past the
+/// last level, shift ring shorter than its accounting); every rejected
+/// in-place apply must leave the view byte-identical.
+TEST(ServeCodec, DeltaApplyEqualsFullSnapshotOn1kRandomPairs) {
+  Rng rng(42);
+  EngineSnapshot chained = RandomSnapshot(rng, 1);
+  for (int i = 0; i < 1000; ++i) {
+    EngineSnapshot base;
+    EngineSnapshot next;
+    if (i % 2 == 0) {
+      base = chained;
+      next = EvolveSnapshot(rng, base);
+      chained = next;
+    } else {
+      base = RandomSnapshot(rng, rng.NextBelow(1000) + 1);
+      next = RandomSnapshot(rng, base.sequence + 1 + rng.NextBelow(10));
+    }
+    const std::string base_bytes = EncodeSnapshotBytes(base);
+    const std::string next_bytes = EncodeSnapshotBytes(next);
+    const SnapshotDelta delta = EncodeDelta(base, next);
+
+    auto copied = ApplyDelta(base, delta);
+    ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+    ASSERT_EQ(EncodeSnapshotBytes(copied.value()), next_bytes) << "pair " << i;
+    EngineSnapshot view = base;
+    ASSERT_TRUE(ApplyDeltaInPlace(view, delta).ok()) << "pair " << i;
+    ASSERT_EQ(EncodeSnapshotBytes(view), next_bytes) << "pair " << i;
+    const std::optional<EngineSnapshot> oracle = MapApplyDelta(base, delta);
+    ASSERT_TRUE(oracle.has_value());
+    ASSERT_EQ(EncodeSnapshotBytes(*oracle), next_bytes) << "pair " << i;
+
+    SnapshotDelta stale = delta;
+    stale.base_sequence = base.sequence + 1;
+    SnapshotDelta bad_level = delta;
+    LevelDelta level;
+    level.index = static_cast<uint8_t>(hierarchy::kNumLevels +
+                                       rng.NextBelow(250));
+    bad_level.levels.push_back(level);
+    SnapshotDelta short_ring = delta;
+    short_ring.shifts_full = false;
+    short_ring.shift_ring_size = static_cast<uint32_t>(
+        base.concept_shifts.size() + short_ring.shift_events.size() + 1 +
+        rng.NextBelow(8));
+    for (const SnapshotDelta* rejected : {&stale, &bad_level, &short_ring}) {
+      EngineSnapshot untouched = base;
+      const Status status = ApplyDeltaInPlace(untouched, *rejected);
+      ASSERT_FALSE(status.ok()) << "pair " << i;
+      ASSERT_EQ(EncodeSnapshotBytes(untouched), base_bytes) << "pair " << i;
+      ASSERT_FALSE(ApplyDelta(base, *rejected).ok()) << "pair " << i;
+      ASSERT_FALSE(MapApplyDelta(base, *rejected).has_value()) << "pair " << i;
+    }
+  }
+}
+
+/// A Status-returning decoder must not throw: every 4-byte window of a
+/// serialized snapshot with alarms, quarantines and shifts is set to 0xFF
+/// (forged counts, string lengths, level bytes, scalars) and decoded.
+TEST(ServeCodec, ReadSnapshotNeverThrowsOnForgedWords) {
+  Rng rng(17);
+  EngineSnapshot snap;
+  while (snap.active_alarms.empty() || snap.quarantined.empty() ||
+         snap.concept_shifts.empty()) {
+    snap = RandomSnapshot(rng, 3);
+  }
+  const std::string bytes = EncodeSnapshotBytes(snap);
+  size_t rejected = 0;
+  for (size_t offset = 0; offset + 4 <= bytes.size(); ++offset) {
+    std::string forged = bytes;
+    for (size_t k = 0; k < 4; ++k) forged[offset + k] = '\xFF';
+    std::istringstream is(forged);
+    StatusOr<EngineSnapshot> decoded = EngineSnapshot{};
+    EXPECT_NO_THROW(decoded = ReadSnapshot(is)) << "offset " << offset;
+    if (!decoded.ok()) ++rejected;
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------

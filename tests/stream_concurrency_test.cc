@@ -13,8 +13,10 @@
 
 #include "core/monitor.h"
 #include "stream/engine.h"
+#include "stream/health.h"
 #include "stream/sharded_scorer.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace hod::stream {
 namespace {
@@ -479,6 +481,161 @@ TEST(StreamConcurrency, FlushConvergesUnderEvictionStorm) {
     EXPECT_EQ(stats.scored + stats.dropped, 30000u)
         << "hint=" << ProducerHintName(hint);
   }
+}
+
+// Forwarding liveness: a collector queue of two slots against 64-sample
+// micro-batches makes every shard's batch push block many times over. The
+// pooled collector runs only when notified, so a shard that parks on the
+// full queue without notifying first would wait forever; both runtimes must
+// reach Flush and Stop with the conservation identities intact.
+TEST(StreamConcurrency, TinyCollectorQueueStaysLiveInThreadedAndPooledModes) {
+  constexpr size_t kSensors = 6;
+  constexpr size_t kSamplesPerSensor = 1500;
+  for (bool pooled : {false, true}) {
+    util::ThreadPool pool(util::ThreadPoolOptions{2, 1});
+    StreamEngineOptions options;
+    options.num_shards = 2;
+    options.queue_capacity = 256;
+    options.max_batch = 64;
+    options.collector_queue_capacity = 2;
+    options.monitor.warmup = 64;
+    // Every scored sample is forwarded: collector traffic equals scoring.
+    options.monitor.threshold = -1.0;
+    options.health.staleness_timeout = 0.0;
+    if (pooled) options.executor = &pool;
+    StreamEngine engine(options);
+    for (size_t i = 0; i < kSensors; ++i) {
+      ASSERT_TRUE(engine.AddSensor(SensorId(i), ProductionLevel::kPhase).ok());
+    }
+    ASSERT_TRUE(engine.Start().ok());
+    std::vector<std::vector<double>> streams;
+    for (size_t i = 0; i < kSensors; ++i) {
+      streams.push_back(SensorStream(i + 1, kSamplesPerSensor));
+    }
+    for (size_t t = 0; t < kSamplesPerSensor; ++t) {
+      for (size_t i = 0; i < kSensors; ++i) {
+        ASSERT_TRUE(engine
+                        .Ingest({SensorId(i), ProductionLevel::kPhase,
+                                 static_cast<double>(t), streams[i][t]})
+                        .ok());
+      }
+      if (t == kSamplesPerSensor / 2) {
+        ASSERT_TRUE(engine.Flush().ok());
+      }
+    }
+    ASSERT_TRUE(engine.Flush().ok());
+    const uint64_t seen_at_flush = engine.Snapshot().events_seen;
+    ASSERT_TRUE(engine.Stop().ok());
+
+    const StreamStatsSnapshot stats = engine.stats();
+    EXPECT_EQ(stats.ingested, kSensors * kSamplesPerSensor)
+        << "pooled=" << pooled;
+    EXPECT_EQ(stats.ingested, stats.scored + stats.dropped +
+                                  stats.rejected_total() +
+                                  stats.quarantined_samples)
+        << "pooled=" << pooled;
+    EXPECT_EQ(stats.forward_failed, 0u) << "pooled=" << pooled;
+    // collected == forwarded + health events: one event per scored sample.
+    EXPECT_EQ(seen_at_flush, stats.scored) << "pooled=" << pooled;
+    EXPECT_EQ(engine.Snapshot().events_seen, stats.scored)
+        << "pooled=" << pooled;
+  }
+}
+
+// Per-sensor event order at the collector, with batched forwarding under
+// a two-slot collector queue: scores arrive in sample order, a quarantine
+// precedes every later sample's score, and a concept-shift event directly
+// follows the score event of the sample that confirmed it.
+TEST(StreamConcurrency, CollectorSeesPerSensorEventOrder) {
+  ShardedScorerOptions options;
+  options.num_shards = 2;
+  options.queue_capacity = 128;
+  options.max_batch = 64;
+  options.monitor.warmup = 64;
+  options.forward_threshold = -1.0;  // every admitted score is forwarded
+  options.shift_enabled = true;
+  StreamStats stats(options.num_shards);
+  BoundedQueue<ScoredSample> collector(2, BackpressurePolicy::kBlock);
+  SensorHealthOptions health_options;
+  health_options.staleness_timeout = 0.0;
+  SensorHealthTracker health(health_options, &stats);
+  ShardedScorer scorer(options, &stats, &collector, &health);
+  const std::vector<std::string> ids = {"shift_a", "stuck_b", "shift_c",
+                                        "stuck_d"};
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_TRUE(health.AddSensor(ids[i], ProductionLevel::kPhase).ok());
+    ASSERT_TRUE(scorer.AddSensor(i % 2, ids[i]).ok());
+  }
+  std::vector<ScoredSample> received;
+  std::thread consumer([&] {
+    std::vector<ScoredSample> batch;
+    while (collector.PopBatch(batch, 3)) {
+      for (ScoredSample& event : batch) received.push_back(std::move(event));
+      batch.clear();
+    }
+  });
+  ASSERT_TRUE(scorer.Start().ok());
+  constexpr size_t kSamples = 900;
+  Rng rng(99);
+  for (size_t t = 0; t < kSamples; ++t) {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      double value = 55.0 + rng.Gaussian(0.0, 0.25);
+      const bool shifter = i % 2 == 0;
+      if (shifter && t >= 400) value += 6.0;  // setpoint change
+      if (!shifter && t >= 300 && t < 500) value = 55.0;  // stuck channel
+      ASSERT_TRUE(scorer
+                      .Submit(i % 2,
+                              {ids[i], ProductionLevel::kPhase,
+                               static_cast<double>(t), value},
+                              BackpressurePolicy::kBlock)
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(scorer.Flush().ok());
+  scorer.Stop();
+  collector.Close();
+  consumer.join();
+  EXPECT_EQ(scorer.forwarded(), received.size());
+
+  size_t shifts = 0;
+  size_t faults = 0;
+  for (const std::string& id : ids) {
+    std::vector<const ScoredSample*> events;
+    for (const ScoredSample& event : received) {
+      if (event.sensor_id == id) events.push_back(&event);
+    }
+    ASSERT_FALSE(events.empty()) << id;
+    for (size_t k = 0; k < events.size(); ++k) {
+      const ScoredSample& event = *events[k];
+      if (event.kind == StreamEventKind::kConceptShift) {
+        ++shifts;
+        ASSERT_GT(k, 0u) << id;
+        EXPECT_EQ(events[k - 1]->kind, StreamEventKind::kScore) << id;
+        EXPECT_EQ(events[k - 1]->ts, event.ts)
+            << id << ": shift must follow its confirming score";
+      }
+      if (event.kind == StreamEventKind::kSensorFault) {
+        ++faults;
+        // Health events forward when the sample is gated, scores once its
+        // micro-batch is scored: earlier samples' scores may trail the
+        // quarantine, but no later sample's score may precede it.
+        for (size_t j = 0; j < k; ++j) {
+          if (events[j]->kind != StreamEventKind::kScore) continue;
+          EXPECT_LT(events[j]->ts, event.ts)
+              << id << ": a later score preceded the quarantine";
+        }
+      }
+    }
+    // Score events keep sample order.
+    double last_score_ts = -1.0;
+    for (const ScoredSample* event : events) {
+      if (event->kind != StreamEventKind::kScore) continue;
+      ASSERT_LT(last_score_ts, event->ts) << id;
+      last_score_ts = event->ts;
+    }
+  }
+  EXPECT_GE(shifts, 2u) << "both setpoint changes must confirm a shift";
+  EXPECT_GE(faults, 2u) << "both stuck channels must be quarantined";
 }
 
 }  // namespace

@@ -41,6 +41,10 @@ TEST(ThreadPoolTest, ExecutesSubmittedTasks) {
     std::this_thread::yield();
   }
   EXPECT_GE(pool.tasks_executed(), static_cast<uint64_t>(kTasks));
+  // The executed count is relaxed, so it orders nothing: take mu once more
+  // so the last task's notify (made under mu) happens before cv and mu
+  // are destroyed.
+  std::lock_guard<std::mutex> relock(mu);
 }
 
 TEST(ThreadPoolTest, ServiceLaneRunsWhileWorkerLaneIsBusy) {
