@@ -9,27 +9,41 @@ namespace {
 namespace bin = hierarchy::bin;
 
 /// "HODC" little-endian + format version.
-/// v2: StreamStatsSnapshot gained rejected_closed and forward_failed.
-/// v3: OutlierFinding gained the escalated flag; StreamStatsSnapshot
-///     gained the escalation and checkpoint counter block.
+/// v2: two more stats counters (closed-queue rejects, refused forwards).
+/// v3: OutlierFinding gained the escalated flag; the stats gained the
+///     escalation and checkpoint counter block.
 /// v4: space-axis layer — peer-group state, the quarantine-onset
 ///     correlation deque, and the open group outage; FindingKind gained
-///     kPeerDrift and kGroupOutage; StreamStatsSnapshot gained the
-///     peer_deviations / group_outages / group_outage_recoveries /
-///     suppressed_sensor_faults counters.
+///     kPeerDrift and kGroupOutage; the stats gained the peer counters.
 /// v5: concept-shift layer — shift_enabled flag + BocpdOptions
 ///     fingerprint in the header, per-sensor BOCPD run-length posterior
 ///     and baseline-lifecycle fields (epoch / frozen / pending reset) in
 ///     the monitor state, the collector's concept-shift ring + total,
-///     FindingKind gained kConceptShift, and StreamStatsSnapshot gained
-///     concept_shifts / baseline_resets / baseline_resets_deferred.
-///     v4 images still restore (new fields default to "layer off").
-/// v6: read-side serving tier — StreamStatsSnapshot gained
-///     snapshots_published. v4/v5 images still restore (counter resumes
-///     at zero).
+///     FindingKind gained kConceptShift, and the stats gained the
+///     concept-shift counters. v4 images still restore (new fields
+///     default to "layer off").
+/// v6: read-side serving tier — the stats gained the snapshot-publish
+///     counter. v4/v5 images still restore.
+/// The stats section holds every HOD_STREAM_COUNTERS row in table order
+/// (a row is present when the image's version >= its `since`), then the
+/// per-level arrays and the batch histogram.
 constexpr uint32_t kMagic = 0x43444F48u;
 constexpr uint32_t kVersion = 6;
 constexpr uint32_t kMinVersion = 4;
+
+// The stats section is positional: an older image holds exactly the rows
+// up to its version, so rows must stay in `since` order within the
+// supported range.
+static_assert(
+    [] {
+      uint32_t since = kMinVersion;
+      for (const CounterInfo& row : kCounters) {
+        if (row.since < since || row.since > kVersion) return false;
+        since = row.since;
+      }
+      return true;
+    }(),
+    "HOD_STREAM_COUNTERS rows must be in checkpoint-version order");
 
 void WriteBool(std::ostream& os, bool value) {
   bin::WriteU8(os, value ? 1 : 0);
@@ -385,42 +399,7 @@ Status ReadFinding(std::istream& is, core::OutlierFinding& finding) {
 }
 
 void WriteStats(std::ostream& os, const StreamStatsSnapshot& stats) {
-  bin::WriteU64(os, stats.ingested);
-  bin::WriteU64(os, stats.scored);
-  bin::WriteU64(os, stats.dropped);
-  bin::WriteU64(os, stats.rejected_queue_full);
-  bin::WriteU64(os, stats.rejected_timeout);
-  bin::WriteU64(os, stats.rejected_non_finite);
-  bin::WriteU64(os, stats.rejected_unknown_sensor);
-  bin::WriteU64(os, stats.rejected_level_mismatch);
-  bin::WriteU64(os, stats.rejected_out_of_order);
-  bin::WriteU64(os, stats.rejected_closed);
-  bin::WriteU64(os, stats.alarms_raised);
-  bin::WriteU64(os, stats.alarms_cleared);
-  bin::WriteU64(os, stats.quarantined_samples);
-  bin::WriteU64(os, stats.sensor_faults);
-  bin::WriteU64(os, stats.sensor_recoveries);
-  bin::WriteU64(os, stats.watchdog_stall_events);
-  bin::WriteU64(os, stats.forward_failed);
-  bin::WriteU64(os, stats.escalation_runs);
-  bin::WriteU64(os, stats.escalation_entities);
-  bin::WriteU64(os, stats.escalation_findings);
-  bin::WriteU64(os, stats.escalation_unresolved);
-  bin::WriteU64(os, stats.escalation_cache_hits);
-  bin::WriteU64(os, stats.escalation_cache_misses);
-  bin::WriteU64(os, stats.escalation_latency_us);
-  bin::WriteU64(os, stats.checkpoints_written);
-  bin::WriteU64(os, stats.checkpoint_failures);
-  bin::WriteU64(os, stats.peer_deviations);
-  bin::WriteU64(os, stats.group_outages);
-  bin::WriteU64(os, stats.group_outage_recoveries);
-  bin::WriteU64(os, stats.suppressed_sensor_faults);
-  // v5: concept-shift counters.
-  bin::WriteU64(os, stats.concept_shifts);
-  bin::WriteU64(os, stats.baseline_resets);
-  bin::WriteU64(os, stats.baseline_resets_deferred);
-  // v6: serving-tier counter.
-  bin::WriteU64(os, stats.snapshots_published);
+  for (const CounterInfo& row : kCounters) bin::WriteU64(os, stats.*row.field);
   for (uint64_t count : stats.level_dropped) bin::WriteU64(os, count);
   for (uint64_t count : stats.level_rejected) bin::WriteU64(os, count);
   for (uint64_t count : stats.level_quarantined) bin::WriteU64(os, count);
@@ -429,43 +408,11 @@ void WriteStats(std::ostream& os, const StreamStatsSnapshot& stats) {
 
 Status ReadStats(std::istream& is, uint32_t version,
                  StreamStatsSnapshot& stats) {
-  HOD_ASSIGN_OR_RETURN(stats.ingested, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.scored, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.dropped, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.rejected_queue_full, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.rejected_timeout, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.rejected_non_finite, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.rejected_unknown_sensor, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.rejected_level_mismatch, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.rejected_out_of_order, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.rejected_closed, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.alarms_raised, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.alarms_cleared, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.quarantined_samples, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.sensor_faults, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.sensor_recoveries, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.watchdog_stall_events, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.forward_failed, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.escalation_runs, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.escalation_entities, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.escalation_findings, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.escalation_unresolved, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.escalation_cache_hits, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.escalation_cache_misses, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.escalation_latency_us, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.checkpoints_written, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.checkpoint_failures, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.peer_deviations, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.group_outages, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.group_outage_recoveries, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(stats.suppressed_sensor_faults, bin::ReadU64(is));
-  if (version >= 5) {
-    HOD_ASSIGN_OR_RETURN(stats.concept_shifts, bin::ReadU64(is));
-    HOD_ASSIGN_OR_RETURN(stats.baseline_resets, bin::ReadU64(is));
-    HOD_ASSIGN_OR_RETURN(stats.baseline_resets_deferred, bin::ReadU64(is));
-  }
-  if (version >= 6) {
-    HOD_ASSIGN_OR_RETURN(stats.snapshots_published, bin::ReadU64(is));
+  // A row absent from an older image resumes at zero.
+  for (const CounterInfo& row : kCounters) {
+    if (version >= row.since) {
+      HOD_ASSIGN_OR_RETURN(stats.*row.field, bin::ReadU64(is));
+    }
   }
   for (uint64_t& count : stats.level_dropped) {
     HOD_ASSIGN_OR_RETURN(count, bin::ReadU64(is));

@@ -45,7 +45,6 @@ ShardedScorerOptions StreamEngine::MakeScorerOptions(
 
 StreamEngine::StreamEngine(StreamEngineOptions options)
     : options_(options),
-      stats_(EffectiveShards(options)),
       collector_queue_(options.collector_queue_capacity,
                        BackpressurePolicy::kBlock),
       router_(EffectiveShards(options), options.out_of_order_tolerance,
@@ -411,23 +410,23 @@ Status StreamEngine::CheckpointToFile(const std::string& path) {
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) {
-      stats_.RecordCheckpointFailure();
+      stats_.Add(Counter::checkpoint_failures);
       return Status::InvalidArgument("cannot open checkpoint file: " + tmp);
     }
     Status status = WriteEngineCheckpoint(checkpoint, os);
     if (!status.ok() || !os.good()) {
-      stats_.RecordCheckpointFailure();
+      stats_.Add(Counter::checkpoint_failures);
       return status.ok() ? Status::InvalidArgument("checkpoint write failed: " +
                                                    tmp)
                          : status;
     }
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    stats_.RecordCheckpointFailure();
+    stats_.Add(Counter::checkpoint_failures);
     return Status::InvalidArgument("cannot rename checkpoint into place: " +
                                    path);
   }
-  stats_.RecordCheckpointWritten();
+  stats_.Add(Counter::checkpoints_written);
   return Status::Ok();
 }
 
@@ -455,8 +454,13 @@ void StreamEngine::ReportEscalation(
     std::lock_guard<std::mutex> lock(alerts_mu_);
     alerts_.IngestBatch(findings);
   }
-  stats_.RecordEscalationRun(run.entities, run.findings, run.unresolved,
-                             run.cache_hits, run.cache_misses, run.latency_us);
+  stats_.Add(Counter::escalation_runs);
+  stats_.Add(Counter::escalation_entities, run.entities);
+  stats_.Add(Counter::escalation_findings, run.findings);
+  stats_.Add(Counter::escalation_unresolved, run.unresolved);
+  stats_.Add(Counter::escalation_cache_hits, run.cache_hits);
+  stats_.Add(Counter::escalation_cache_misses, run.cache_misses);
+  stats_.Add(Counter::escalation_latency_us, run.latency_us);
 }
 
 Status StreamEngine::FillCheckpoint(EngineCheckpoint& checkpoint) const {
@@ -637,16 +641,12 @@ Status StreamEngine::ApplyCheckpoint(const EngineCheckpoint& checkpoint) {
     alerts_.RestoreFindings(checkpoint.findings);
   }
   stats_.Restore(checkpoint.stats);
-  // Live eviction counts restart at zero with the fresh shard queues;
-  // carry the historical count separately so stats() stays monotone.
-  restored_dropped_ = checkpoint.stats.dropped;
   return Status::Ok();
 }
 
 StreamStatsSnapshot StreamEngine::stats() const {
   StreamStatsSnapshot snapshot = stats_.Snapshot();
   scorer_.FillQueueStats(snapshot);
-  snapshot.dropped += restored_dropped_;
   snapshot.shard_stalled.clear();
   snapshot.shard_stalled.reserve(stalled_.size());
   for (const auto& flag : stalled_) {
@@ -730,7 +730,7 @@ void StreamEngine::WatchdogTick() {
       // serving the healthy shards; the flag clears if the worker
       // resumes).
       if (stalled_[i].exchange(1, std::memory_order_relaxed) == 0) {
-        stats_.RecordWatchdogStall();
+        stats_.Add(Counter::watchdog_stall_events);
       }
     } else {
       stalled_[i].store(0, std::memory_order_relaxed);
@@ -847,7 +847,7 @@ void StreamEngine::PushHealthEvent(const HealthTransition& transition) {
   // otherwise Flush waits forever for an event that never arrives — and
   // surface the loss instead of silently swallowing it.
   health_events_pushed_.fetch_sub(1, std::memory_order_release);
-  stats_.RecordForwardFailed();
+  stats_.Add(Counter::forward_failed);
 }
 
 void StreamEngine::ConsumeScored(const ScoredSample& scored) {
@@ -963,7 +963,7 @@ void StreamEngine::ConsumeSensorFault(const ScoredSample& event) {
     // The line is already down; this channel joined the incident instead
     // of adding one more row to the storm.
     outage_->members.insert(event.sensor_id);
-    stats_.RecordSuppressedSensorFault();
+    stats_.Add(Counter::suppressed_sensor_faults);
     return;
   }
   pending_faults_.push_back(onset);
@@ -999,12 +999,12 @@ void StreamEngine::DeclareGroupOutage(ts::TimePoint ts) {
   outage.since = ts;
   for (const QuarantinedSensor& pending : pending_faults_) {
     outage.members.insert(pending.sensor_id);
-    stats_.RecordSuppressedSensorFault();
+    stats_.Add(Counter::suppressed_sensor_faults);
   }
   pending_faults_.clear();
   const size_t affected = outage.members.size();
   outage_ = std::move(outage);
-  stats_.RecordGroupOutage();
+  stats_.Add(Counter::group_outages);
 
   core::OutlierFinding finding;
   finding.kind = core::FindingKind::kGroupOutage;
@@ -1123,7 +1123,7 @@ void StreamEngine::ConsumeSensorRecovery(const ScoredSample& event) {
       // Every affected channel reported back — the incident is over and
       // the (frozen, not poisoned) baselines resume from where they were.
       outage_.reset();
-      stats_.RecordGroupOutageRecovery();
+      stats_.Add(Counter::group_outage_recoveries);
     }
   }
 }
@@ -1153,7 +1153,7 @@ void StreamEngine::PublishSnapshot() {
                                  recent_shifts_.end());
   snapshot.concept_shifts_total = concept_shifts_total_;
   events_at_last_snapshot_ = events_seen_;
-  stats_.RecordSnapshotPublished();
+  stats_.Add(Counter::snapshots_published);
   std::shared_ptr<const EngineSnapshot> shared = std::move(built);
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);

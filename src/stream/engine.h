@@ -513,10 +513,6 @@ class StreamEngine {
   mutable std::shared_mutex ingest_gate_;
   const bool checkpoint_gate_enabled_;
 
-  /// Dropped count carried over from a restored checkpoint (the live
-  /// count lives in the shard queues, which restart at zero).
-  uint64_t restored_dropped_ = 0;
-
   /// Watchdog state: per-shard stall flags (read by stats()).
   std::vector<std::atomic<uint8_t>> stalled_;
 

@@ -72,12 +72,12 @@ void SensorHealthTracker::SetState(const std::string& sensor_id, Entry& entry,
   entry.last_reason = reason;
   if (to == SensorHealthState::kQuarantined) {
     ++entry.quarantines;
-    if (stats_ != nullptr) stats_->RecordSensorFault();
+    if (stats_ != nullptr) stats_->Add(Counter::sensor_faults);
   }
   if (to == SensorHealthState::kHealthy &&
       transition.from == SensorHealthState::kRecovering &&
       stats_ != nullptr) {
-    stats_->RecordSensorRecovery();
+    stats_->Add(Counter::sensor_recoveries);
   }
   LogTransition(transition);
   if (out != nullptr) *out = transition;
@@ -190,7 +190,8 @@ HealthObservation SensorHealthTracker::Observe(const std::string& sensor_id,
       stats_ != nullptr) {
     // The scoring tier withholds this sample from its monitor and from
     // level aggregation; account for it here, in the one place that knows.
-    stats_->RecordQuarantinedSample(entry.level);
+    stats_->Add(Counter::quarantined_samples);
+    stats_->RecordLevelQuarantined(entry.level);
   }
   return observation;
 }

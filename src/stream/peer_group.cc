@@ -166,7 +166,7 @@ Status PeerGroupMonitor::AddGroupsFromConfiguration(
 }
 
 void PeerGroupMonitor::LogDeviation(const PeerDeviation& deviation) {
-  if (stats_ != nullptr) stats_->RecordPeerDeviation();
+  if (stats_ != nullptr) stats_->Add(Counter::peer_deviations);
   std::lock_guard<std::mutex> lock(log_mu_);
   log_.push_back(deviation);
 }

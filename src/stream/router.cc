@@ -42,7 +42,7 @@ Status IngestRouter::AddSensor(const std::string& sensor_id,
 StatusOr<RouteTarget> IngestRouter::Route(const SensorSample& sample) {
   if (!std::isfinite(sample.value) || !std::isfinite(sample.ts)) {
     if (stats_ != nullptr) {
-      stats_->RecordRejectedNonFinite();
+      stats_->Add(Counter::rejected_non_finite);
       stats_->RecordLevelRejected(sample.level);
     }
     return Status::InvalidArgument("non-finite sample for sensor " +
@@ -51,7 +51,7 @@ StatusOr<RouteTarget> IngestRouter::Route(const SensorSample& sample) {
   auto it = sensors_.find(sample.sensor_id);
   if (it == sensors_.end()) {
     if (stats_ != nullptr) {
-      stats_->RecordRejectedUnknownSensor();
+      stats_->Add(Counter::rejected_unknown_sensor);
       stats_->RecordLevelRejected(sample.level);
     }
     return Status::NotFound("unknown sensor: " + sample.sensor_id);
@@ -59,7 +59,7 @@ StatusOr<RouteTarget> IngestRouter::Route(const SensorSample& sample) {
   SensorEntry& entry = *it->second;
   if (entry.level != sample.level) {
     if (stats_ != nullptr) {
-      stats_->RecordRejectedLevelMismatch();
+      stats_->Add(Counter::rejected_level_mismatch);
       stats_->RecordLevelRejected(entry.level);
     }
     return Status::InvalidArgument("sensor " + sample.sensor_id +
@@ -71,7 +71,7 @@ StatusOr<RouteTarget> IngestRouter::Route(const SensorSample& sample) {
   while (true) {
     if (sample.ts + out_of_order_tolerance_ < seen) {
       if (stats_ != nullptr) {
-        stats_->RecordRejectedOutOfOrder();
+        stats_->Add(Counter::rejected_out_of_order);
         stats_->RecordLevelRejected(entry.level);
       }
       return Status::OutOfRange("out-of-order sample for sensor " +
@@ -83,7 +83,7 @@ StatusOr<RouteTarget> IngestRouter::Route(const SensorSample& sample) {
       break;
     }
   }
-  if (stats_ != nullptr) stats_->RecordIngested();
+  if (stats_ != nullptr) stats_->Add(Counter::ingested);
   return RouteTarget{entry.shard, entry.policy, entry.lane};
 }
 

@@ -70,7 +70,7 @@ void ShardedScorer::SyncBaselineFreeze(Shard& shard, size_t lane,
     if (shard.bank.ThawBaselineLane(lane,
                                     core::BaselineActor::kHealthQuarantine) &&
         stats_ != nullptr) {
-      stats_->RecordBaselineReset();
+      stats_->Add(Counter::baseline_resets);
     }
   }
 }
@@ -100,11 +100,11 @@ bool ShardedScorer::ApplyShiftReset(Shard& shard, size_t lane,
   shard.bank.ResetBaselineLane(lane, core::BaselineActor::kConceptShift,
                                seed);
   if (stats_ != nullptr) {
-    stats_->RecordConceptShift();
+    stats_->Add(Counter::concept_shifts);
     if (frozen) {
-      stats_->RecordBaselineResetDeferred();
+      stats_->Add(Counter::baseline_resets_deferred);
     } else {
-      stats_->RecordBaselineReset();
+      stats_->Add(Counter::baseline_resets);
     }
   }
   return frozen;
@@ -165,17 +165,17 @@ Status ShardedScorer::Submit(size_t shard, SensorSample sample,
     s.submitted.fetch_sub(1, std::memory_order_relaxed);
     if (stats_ != nullptr) {
       if (status.code() == StatusCode::kOutOfRange) {
-        stats_->RecordRejectedQueueFull();
+        stats_->Add(Counter::rejected_queue_full);
         stats_->RecordLevelRejected(level);
       } else if (status.code() == StatusCode::kDeadlineExceeded) {
-        stats_->RecordRejectedTimeout();
+        stats_->Add(Counter::rejected_timeout);
         stats_->RecordLevelRejected(level);
       } else if (status.code() == StatusCode::kFailedPrecondition) {
         // Queue already closed (shutdown race). The sample was counted as
         // ingested by the router, so it must land in a rejection bucket or
         // the conservation identity ingested == scored + dropped +
         // rejected + quarantined breaks on every shutdown.
-        stats_->RecordRejectedQueueClosed();
+        stats_->Add(Counter::rejected_closed);
         stats_->RecordLevelRejected(level);
       }
     }
@@ -283,13 +283,13 @@ StatusOr<InlineScore> ShardedScorer::ScoreInline(Shard& s, size_t lane,
   ObservePeers(s, sample, gate.forward);
   const core::MonitorUpdate& update = result.update;
   if (stats_ != nullptr) {
-    stats_->RecordScored(1);
+    stats_->Add(Counter::scored);
     stats_->RecordBatch(1);
     // Same gating as the threaded path: recovery-phase alarm transitions
     // are withheld along with the update itself.
     if (gate.forward) {
-      if (update.alarm_raised) stats_->RecordAlarmRaised();
-      if (update.alarm_cleared) stats_->RecordAlarmCleared();
+      if (update.alarm_raised) stats_->Add(Counter::alarms_raised);
+      if (update.alarm_cleared) stats_->Add(Counter::alarms_cleared);
     }
   }
   if (collector_ != nullptr && gate.forward &&
@@ -394,12 +394,9 @@ void ShardedScorer::Stop() {
 }
 
 void ShardedScorer::FillQueueStats(StreamStatsSnapshot& snapshot) const {
-  snapshot.dropped = 0;
+  snapshot.shard_queue_high_water.assign(shards_.size(), 0);
   for (size_t i = 0; i < shards_.size(); ++i) {
-    const uint64_t high_water = shards_[i]->queue->high_water();
-    if (i < snapshot.shard_queue_high_water.size()) {
-      snapshot.shard_queue_high_water[i] = high_water;
-    }
+    snapshot.shard_queue_high_water[i] = shards_[i]->queue->high_water();
     snapshot.dropped += shards_[i]->queue->dropped();
   }
 }
@@ -605,8 +602,8 @@ void ShardedScorer::ProcessBatch(size_t shard_index,
     // counters, or a phantom alarm raised against a half-warmed model
     // would be reported while the level aggregates never see it.
     if (stats_ != nullptr && forward) {
-      if (update.alarm_raised) stats_->RecordAlarmRaised();
-      if (update.alarm_cleared) stats_->RecordAlarmCleared();
+      if (update.alarm_raised) stats_->Add(Counter::alarms_raised);
+      if (update.alarm_cleared) stats_->Add(Counter::alarms_cleared);
     }
     if (collector_ != nullptr && forward &&
         (update.alarm_raised || update.alarm_cleared ||
@@ -630,7 +627,7 @@ void ShardedScorer::ProcessBatch(size_t shard_index,
       ++shift_idx;
     }
   }
-  if (stats_ != nullptr && scored > 0) stats_->RecordScored(scored);
+  if (stats_ != nullptr && scored > 0) stats_->Add(Counter::scored, scored);
   FlushOutbox(shard);
   shard.processed.fetch_add(batch.size(), std::memory_order_release);
   shard.heartbeat.fetch_add(1, std::memory_order_release);
@@ -724,9 +721,7 @@ void ShardedScorer::FlushOutbox(Shard& shard) {
   // shutdown). Counting these as forwarded would make the engine's Flush
   // wait for a collected_ count that can never arrive.
   forward_failed_.fetch_add(refused, std::memory_order_release);
-  if (stats_ != nullptr) {
-    for (size_t i = 0; i < refused; ++i) stats_->RecordForwardFailed();
-  }
+  if (stats_ != nullptr) stats_->Add(Counter::forward_failed, refused);
 }
 
 }  // namespace hod::stream

@@ -201,8 +201,9 @@ class ShardedScorer {
   /// Idempotent.
   void Stop();
 
-  /// Copies per-shard queue high-water marks and kDropOldest eviction
-  /// counts into `snapshot` (they live in the queues, not in StreamStats).
+  /// Sets `snapshot`'s per-shard queue high-water marks and adds the
+  /// queues' kDropOldest evictions to its `dropped` count (both live in
+  /// the queues, not in StreamStats).
   void FillQueueStats(StreamStatsSnapshot& snapshot) const;
 
   bool running() const { return running_.load(std::memory_order_acquire); }

@@ -1,6 +1,8 @@
 #include "stream/stats.h"
 
+#include <algorithm>
 #include <sstream>
+#include <string_view>
 
 namespace hod::stream {
 
@@ -12,81 +14,17 @@ void StreamStats::RecordBatch(size_t batch) {
   batch_histogram_[bucket].fetch_add(1, std::memory_order_relaxed);
 }
 
-void StreamStats::UpdateShardHighWater(size_t shard, uint64_t depth) {
-  if (shard >= shard_high_water_.size()) return;
-  std::atomic<uint64_t>& hw = shard_high_water_[shard];
-  uint64_t seen = hw.load(std::memory_order_relaxed);
-  while (depth > seen &&
-         !hw.compare_exchange_weak(seen, depth, std::memory_order_relaxed)) {
-  }
-}
-
 StreamStatsSnapshot StreamStats::Snapshot() const {
   StreamStatsSnapshot snapshot;
-  snapshot.ingested = ingested_.load(std::memory_order_relaxed);
-  snapshot.scored = scored_.load(std::memory_order_relaxed);
-  snapshot.rejected_queue_full =
-      rejected_queue_full_.load(std::memory_order_relaxed);
-  snapshot.rejected_timeout = rejected_timeout_.load(std::memory_order_relaxed);
-  snapshot.rejected_non_finite =
-      rejected_non_finite_.load(std::memory_order_relaxed);
-  snapshot.rejected_unknown_sensor =
-      rejected_unknown_sensor_.load(std::memory_order_relaxed);
-  snapshot.rejected_level_mismatch =
-      rejected_level_mismatch_.load(std::memory_order_relaxed);
-  snapshot.rejected_out_of_order =
-      rejected_out_of_order_.load(std::memory_order_relaxed);
-  snapshot.rejected_closed = rejected_closed_.load(std::memory_order_relaxed);
-  snapshot.alarms_raised = alarms_raised_.load(std::memory_order_relaxed);
-  snapshot.alarms_cleared = alarms_cleared_.load(std::memory_order_relaxed);
-  snapshot.quarantined_samples =
-      quarantined_samples_.load(std::memory_order_relaxed);
-  snapshot.sensor_faults = sensor_faults_.load(std::memory_order_relaxed);
-  snapshot.sensor_recoveries =
-      sensor_recoveries_.load(std::memory_order_relaxed);
-  snapshot.watchdog_stall_events =
-      watchdog_stall_events_.load(std::memory_order_relaxed);
-  snapshot.forward_failed = forward_failed_.load(std::memory_order_relaxed);
-  snapshot.escalation_runs = escalation_runs_.load(std::memory_order_relaxed);
-  snapshot.escalation_entities =
-      escalation_entities_.load(std::memory_order_relaxed);
-  snapshot.escalation_findings =
-      escalation_findings_.load(std::memory_order_relaxed);
-  snapshot.escalation_unresolved =
-      escalation_unresolved_.load(std::memory_order_relaxed);
-  snapshot.escalation_cache_hits =
-      escalation_cache_hits_.load(std::memory_order_relaxed);
-  snapshot.escalation_cache_misses =
-      escalation_cache_misses_.load(std::memory_order_relaxed);
-  snapshot.escalation_latency_us =
-      escalation_latency_us_.load(std::memory_order_relaxed);
-  snapshot.checkpoints_written =
-      checkpoints_written_.load(std::memory_order_relaxed);
-  snapshot.checkpoint_failures =
-      checkpoint_failures_.load(std::memory_order_relaxed);
-  snapshot.snapshots_published =
-      snapshots_published_.load(std::memory_order_relaxed);
-  snapshot.peer_deviations = peer_deviations_.load(std::memory_order_relaxed);
-  snapshot.group_outages = group_outages_.load(std::memory_order_relaxed);
-  snapshot.group_outage_recoveries =
-      group_outage_recoveries_.load(std::memory_order_relaxed);
-  snapshot.suppressed_sensor_faults =
-      suppressed_sensor_faults_.load(std::memory_order_relaxed);
-  snapshot.concept_shifts = concept_shifts_.load(std::memory_order_relaxed);
-  snapshot.baseline_resets = baseline_resets_.load(std::memory_order_relaxed);
-  snapshot.baseline_resets_deferred =
-      baseline_resets_deferred_.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    snapshot.*kCounters[i].field = counters_[i].load(std::memory_order_relaxed);
+  }
   for (int i = 0; i < hierarchy::kNumLevels; ++i) {
     snapshot.level_dropped[i] = level_dropped_[i].load(std::memory_order_relaxed);
     snapshot.level_rejected[i] =
         level_rejected_[i].load(std::memory_order_relaxed);
     snapshot.level_quarantined[i] =
         level_quarantined_[i].load(std::memory_order_relaxed);
-  }
-  snapshot.shard_queue_high_water.reserve(shard_high_water_.size());
-  for (const auto& hw : shard_high_water_) {
-    snapshot.shard_queue_high_water.push_back(
-        hw.load(std::memory_order_relaxed));
   }
   for (size_t i = 0; i < kBatchBuckets; ++i) {
     snapshot.batch_size_histogram[i] =
@@ -96,60 +34,9 @@ StreamStatsSnapshot StreamStats::Snapshot() const {
 }
 
 void StreamStats::Restore(const StreamStatsSnapshot& snapshot) {
-  ingested_.store(snapshot.ingested, std::memory_order_relaxed);
-  scored_.store(snapshot.scored, std::memory_order_relaxed);
-  rejected_queue_full_.store(snapshot.rejected_queue_full,
-                             std::memory_order_relaxed);
-  rejected_timeout_.store(snapshot.rejected_timeout,
-                          std::memory_order_relaxed);
-  rejected_non_finite_.store(snapshot.rejected_non_finite,
-                             std::memory_order_relaxed);
-  rejected_unknown_sensor_.store(snapshot.rejected_unknown_sensor,
-                                 std::memory_order_relaxed);
-  rejected_level_mismatch_.store(snapshot.rejected_level_mismatch,
-                                 std::memory_order_relaxed);
-  rejected_out_of_order_.store(snapshot.rejected_out_of_order,
-                               std::memory_order_relaxed);
-  rejected_closed_.store(snapshot.rejected_closed, std::memory_order_relaxed);
-  alarms_raised_.store(snapshot.alarms_raised, std::memory_order_relaxed);
-  alarms_cleared_.store(snapshot.alarms_cleared, std::memory_order_relaxed);
-  quarantined_samples_.store(snapshot.quarantined_samples,
-                             std::memory_order_relaxed);
-  sensor_faults_.store(snapshot.sensor_faults, std::memory_order_relaxed);
-  sensor_recoveries_.store(snapshot.sensor_recoveries,
-                           std::memory_order_relaxed);
-  watchdog_stall_events_.store(snapshot.watchdog_stall_events,
-                               std::memory_order_relaxed);
-  forward_failed_.store(snapshot.forward_failed, std::memory_order_relaxed);
-  escalation_runs_.store(snapshot.escalation_runs, std::memory_order_relaxed);
-  escalation_entities_.store(snapshot.escalation_entities,
-                             std::memory_order_relaxed);
-  escalation_findings_.store(snapshot.escalation_findings,
-                             std::memory_order_relaxed);
-  escalation_unresolved_.store(snapshot.escalation_unresolved,
-                               std::memory_order_relaxed);
-  escalation_cache_hits_.store(snapshot.escalation_cache_hits,
-                               std::memory_order_relaxed);
-  escalation_cache_misses_.store(snapshot.escalation_cache_misses,
-                                 std::memory_order_relaxed);
-  escalation_latency_us_.store(snapshot.escalation_latency_us,
-                               std::memory_order_relaxed);
-  checkpoints_written_.store(snapshot.checkpoints_written,
-                             std::memory_order_relaxed);
-  checkpoint_failures_.store(snapshot.checkpoint_failures,
-                             std::memory_order_relaxed);
-  snapshots_published_.store(snapshot.snapshots_published,
-                             std::memory_order_relaxed);
-  peer_deviations_.store(snapshot.peer_deviations, std::memory_order_relaxed);
-  group_outages_.store(snapshot.group_outages, std::memory_order_relaxed);
-  group_outage_recoveries_.store(snapshot.group_outage_recoveries,
-                                 std::memory_order_relaxed);
-  suppressed_sensor_faults_.store(snapshot.suppressed_sensor_faults,
-                                  std::memory_order_relaxed);
-  concept_shifts_.store(snapshot.concept_shifts, std::memory_order_relaxed);
-  baseline_resets_.store(snapshot.baseline_resets, std::memory_order_relaxed);
-  baseline_resets_deferred_.store(snapshot.baseline_resets_deferred,
-                                  std::memory_order_relaxed);
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    counters_[i].store(snapshot.*kCounters[i].field, std::memory_order_relaxed);
+  }
   for (int i = 0; i < hierarchy::kNumLevels; ++i) {
     level_dropped_[i].store(snapshot.level_dropped[i],
                             std::memory_order_relaxed);
@@ -164,42 +51,19 @@ void StreamStats::Restore(const StreamStatsSnapshot& snapshot) {
   }
 }
 
+uint64_t StreamStatsSnapshot::rejected_total() const {
+  uint64_t total = 0;
+  for (const CounterInfo& row : kCounters) {
+    if (std::string_view(row.name).starts_with("rejected_")) {
+      total += this->*row.field;
+    }
+  }
+  return total;
+}
+
 StreamStatsSnapshot& StreamStatsSnapshot::operator+=(
     const StreamStatsSnapshot& other) {
-  ingested += other.ingested;
-  scored += other.scored;
-  dropped += other.dropped;
-  rejected_queue_full += other.rejected_queue_full;
-  rejected_timeout += other.rejected_timeout;
-  rejected_non_finite += other.rejected_non_finite;
-  rejected_unknown_sensor += other.rejected_unknown_sensor;
-  rejected_level_mismatch += other.rejected_level_mismatch;
-  rejected_out_of_order += other.rejected_out_of_order;
-  rejected_closed += other.rejected_closed;
-  alarms_raised += other.alarms_raised;
-  alarms_cleared += other.alarms_cleared;
-  quarantined_samples += other.quarantined_samples;
-  sensor_faults += other.sensor_faults;
-  sensor_recoveries += other.sensor_recoveries;
-  watchdog_stall_events += other.watchdog_stall_events;
-  forward_failed += other.forward_failed;
-  escalation_runs += other.escalation_runs;
-  escalation_entities += other.escalation_entities;
-  escalation_findings += other.escalation_findings;
-  escalation_unresolved += other.escalation_unresolved;
-  escalation_cache_hits += other.escalation_cache_hits;
-  escalation_cache_misses += other.escalation_cache_misses;
-  escalation_latency_us += other.escalation_latency_us;
-  checkpoints_written += other.checkpoints_written;
-  checkpoint_failures += other.checkpoint_failures;
-  snapshots_published += other.snapshots_published;
-  peer_deviations += other.peer_deviations;
-  group_outages += other.group_outages;
-  group_outage_recoveries += other.group_outage_recoveries;
-  suppressed_sensor_faults += other.suppressed_sensor_faults;
-  concept_shifts += other.concept_shifts;
-  baseline_resets += other.baseline_resets;
-  baseline_resets_deferred += other.baseline_resets_deferred;
+  for (const CounterInfo& row : kCounters) this->*row.field += other.*row.field;
   for (int i = 0; i < hierarchy::kNumLevels; ++i) {
     level_dropped[i] += other.level_dropped[i];
     level_rejected[i] += other.level_rejected[i];
@@ -209,17 +73,14 @@ StreamStatsSnapshot& StreamStatsSnapshot::operator+=(
     shard_queue_high_water.resize(other.shard_queue_high_water.size(), 0);
   }
   for (size_t i = 0; i < other.shard_queue_high_water.size(); ++i) {
-    if (other.shard_queue_high_water[i] > shard_queue_high_water[i]) {
-      shard_queue_high_water[i] = other.shard_queue_high_water[i];
-    }
+    shard_queue_high_water[i] =
+        std::max(shard_queue_high_water[i], other.shard_queue_high_water[i]);
   }
   if (other.shard_stalled.size() > shard_stalled.size()) {
     shard_stalled.resize(other.shard_stalled.size(), 0);
   }
   for (size_t i = 0; i < other.shard_stalled.size(); ++i) {
-    shard_stalled[i] = shard_stalled[i] != 0 || other.shard_stalled[i] != 0
-                           ? uint8_t{1}
-                           : uint8_t{0};
+    shard_stalled[i] = (shard_stalled[i] | other.shard_stalled[i]) != 0;
   }
   for (size_t i = 0; i < kBatchBuckets; ++i) {
     batch_size_histogram[i] += other.batch_size_histogram[i];
@@ -228,41 +89,25 @@ StreamStatsSnapshot& StreamStatsSnapshot::operator+=(
 }
 
 std::string StreamStatsSnapshot::ToString() const {
+  // Table rows as name=value pairs, wrapped at 80 columns.
   std::ostringstream out;
-  out << "ingested=" << ingested << " scored=" << scored
-      << " dropped=" << dropped << " rejected=" << rejected_total()
-      << " (queue_full=" << rejected_queue_full
-      << " timeout=" << rejected_timeout
-      << " non_finite=" << rejected_non_finite
-      << " unknown_sensor=" << rejected_unknown_sensor
-      << " level_mismatch=" << rejected_level_mismatch
-      << " out_of_order=" << rejected_out_of_order
-      << " closed=" << rejected_closed << ")"
-      << " alarms_raised=" << alarms_raised
-      << " alarms_cleared=" << alarms_cleared << "\n";
-  out << "health: quarantined_samples=" << quarantined_samples
-      << " sensor_faults=" << sensor_faults
-      << " sensor_recoveries=" << sensor_recoveries
-      << " watchdog_stalls=" << watchdog_stall_events
-      << " forward_failed=" << forward_failed << "\n";
-  out << "escalation: runs=" << escalation_runs
-      << " entities=" << escalation_entities
-      << " findings=" << escalation_findings
-      << " unresolved=" << escalation_unresolved
-      << " cache_hits=" << escalation_cache_hits
-      << " cache_misses=" << escalation_cache_misses
-      << " latency_us=" << escalation_latency_us
-      << " checkpoints=" << checkpoints_written
-      << " checkpoint_failures=" << checkpoint_failures
-      << " snapshots_published=" << snapshots_published << "\n";
-  out << "peer: deviations=" << peer_deviations
-      << " group_outages=" << group_outages
-      << " group_outage_recoveries=" << group_outage_recoveries
-      << " suppressed_sensor_faults=" << suppressed_sensor_faults << "\n";
-  out << "shift: concept_shifts=" << concept_shifts
-      << " baseline_resets=" << baseline_resets
-      << " baseline_resets_deferred=" << baseline_resets_deferred << "\n";
-  out << "per-level drop/reject/quarantine:";
+  size_t column = 0;
+  const auto print = [&](std::string_view name, uint64_t value) {
+    const std::string pair =
+        std::string(name) + "=" + std::to_string(value);
+    if (column > 0 && column + 1 + pair.size() > 80) {
+      out << "\n";
+      column = 0;
+    } else if (column > 0) {
+      out << " ";
+      ++column;
+    }
+    out << pair;
+    column += pair.size();
+  };
+  for (const CounterInfo& row : kCounters) print(row.name, this->*row.field);
+  print("rejected_total", rejected_total());
+  out << "\nper-level drop/reject/quarantine:";
   for (int i = 0; i < hierarchy::kNumLevels; ++i) {
     if (level_dropped[i] == 0 && level_rejected[i] == 0 &&
         level_quarantined[i] == 0) {

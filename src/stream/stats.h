@@ -18,86 +18,86 @@ inline constexpr size_t kBatchBuckets = 16;
 /// Per-level counter array, indexed by LevelValue(level) - 1.
 using LevelCounters = std::array<uint64_t, hierarchy::kNumLevels>;
 
+/// Every scalar engine counter, declared once: X(name, since, help), where
+/// `since` is the engine-checkpoint version that first carried the counter.
+/// The snapshot fields, StreamStats' atomics, Snapshot/Restore, the
+/// fleet roll-up, ToString and the checkpoint section are all expanded
+/// from this table. Rows are in checkpoint order, so a new counter goes at
+/// the end together with a checkpoint version bump. Every scalar counter
+/// sums in the roll-up; rows named `rejected_*` make up rejected_total().
+#define HOD_STREAM_COUNTERS(X)                                                \
+  X(ingested, 4, "samples that passed router validation")                    \
+  X(scored, 4, "samples scored by a shard worker")                           \
+  X(dropped, 4,                                                               \
+    "samples evicted by kDropOldest backpressure (the live count comes "     \
+    "from the shard queues; this row holds a restored checkpoint's base)")   \
+  X(rejected_queue_full, 4, "samples refused by kReject backpressure")       \
+  X(rejected_timeout, 4, "kBlockWithTimeout pushes that expired")            \
+  X(rejected_non_finite, 4, "samples with a NaN or infinite value")          \
+  X(rejected_unknown_sensor, 4, "samples from a never-registered sensor")    \
+  X(rejected_level_mismatch, 4,                                               \
+    "samples whose level differs from the sensor's registration")            \
+  X(rejected_out_of_order, 4,                                                 \
+    "samples whose timestamp regressed beyond the tolerance")                \
+  X(rejected_closed, 4,                                                       \
+    "samples submitted after the shard queue closed (shutdown); keeps the "  \
+    "conservation identity exact across shutdown races")                     \
+  X(alarms_raised, 4, "monitor alarms raised")                               \
+  X(alarms_cleared, 4, "monitor alarms cleared")                             \
+  X(quarantined_samples, 4,                                                   \
+    "samples of quarantined sensors withheld from their monitors")           \
+  X(sensor_faults, 4, "sensor-fault findings emitted (quarantine entries)")  \
+  X(sensor_recoveries, 4, "quarantined sensors fully recovered")             \
+  X(watchdog_stall_events, 4,                                                 \
+    "shard workers the watchdog has ever flagged as stalled")                \
+  X(forward_failed, 4,                                                        \
+    "scores or health events the collector refused (shutdown); not "         \
+    "counted as forwarded, so the collector's books stay exact")             \
+  X(escalation_runs, 4,                                                       \
+    "Algorithm-1 runs over a snapshot diff with newly flagged alarms")       \
+  X(escalation_entities, 4, "alarmed entities re-scored across all runs")    \
+  X(escalation_findings, 4, "hierarchical findings the runs produced")       \
+  X(escalation_unresolved, 4,                                                 \
+    "alarms the detector could not resolve to a production scope")          \
+  X(escalation_cache_hits, 4,                                                 \
+    "detector models and score vectors reused by escalation")                \
+  X(escalation_cache_misses, 4,                                               \
+    "detector models and score vectors rebuilt by escalation")               \
+  X(escalation_latency_us, 4, "wall time inside EscalateAlarm calls, us")    \
+  X(checkpoints_written, 4, "background checkpoints written")                \
+  X(checkpoint_failures, 4, "background checkpoints that failed")            \
+  X(peer_deviations, 4,                                                       \
+    "channels that left their redundancy group's band, by level or slope")   \
+  X(group_outages, 4, "group outages declared by quarantine-onset "          \
+                      "correlation")                                         \
+  X(group_outage_recoveries, 4,                                               \
+    "group outages fully recovered (every member back from quarantine)")     \
+  X(suppressed_sensor_faults, 4,                                              \
+    "sensor-fault findings folded into a group outage (their quarantine "    \
+    "entries still count as sensor faults)")                                 \
+  X(concept_shifts, 5, "shifts the per-lane BOCPD detectors confirmed")      \
+  X(baseline_resets, 5,                                                       \
+    "baseline resets applied (a deferred reset counts when the thaw "        \
+    "applies it)")                                                           \
+  X(baseline_resets_deferred, 5,                                              \
+    "concept-shift resets parked until a quarantined lane thaws")            \
+  X(snapshots_published, 6,                                                   \
+    "EngineSnapshots the collector published to the serve tier")
+
+/// Names a row of HOD_STREAM_COUNTERS: `Counter::<name>`.
+enum class Counter : size_t {
+#define HOD_COUNTER_ENUM(name, since, help) name,
+  HOD_STREAM_COUNTERS(HOD_COUNTER_ENUM)
+#undef HOD_COUNTER_ENUM
+};
+
 /// A coherent copy of every engine counter, safe to hold across the
 /// engine's lifetime. In synchronous mode (and after `Stop()` in threaded
 /// mode) the values are exact and deterministic, so tests can assert them.
 struct StreamStatsSnapshot {
-  uint64_t ingested = 0;  ///< samples that passed router validation
-  uint64_t scored = 0;    ///< samples scored by a shard worker
-  /// Evicted by kDropOldest backpressure (filled from the shard queues by
-  /// the engine, not tracked in StreamStats itself).
-  uint64_t dropped = 0;
-  uint64_t rejected_queue_full = 0;     ///< refused by kReject backpressure
-  uint64_t rejected_timeout = 0;        ///< kBlockWithTimeout pushes expired
-  uint64_t rejected_non_finite = 0;     ///< NaN / infinite values
-  uint64_t rejected_unknown_sensor = 0; ///< sensor id never registered
-  uint64_t rejected_level_mismatch = 0; ///< level differs from registration
-  uint64_t rejected_out_of_order = 0;   ///< ts regressed beyond tolerance
-  /// Submitted after the shard queue closed (engine shutting down). Without
-  /// this bucket such samples would vanish from the audit: Submit undoes its
-  /// `submitted` count on failure, so the conservation identity
-  /// `ingested == scored + dropped + rejected + quarantined` would leak one
-  /// sample per shutdown race.
-  uint64_t rejected_closed = 0;
-  uint64_t alarms_raised = 0;
-  uint64_t alarms_cleared = 0;
-  /// Samples of quarantined sensors withheld from their monitors.
-  uint64_t quarantined_samples = 0;
-  /// Sensor-fault findings emitted (quarantine entries) / full recoveries.
-  uint64_t sensor_faults = 0;
-  uint64_t sensor_recoveries = 0;
-  /// Shard workers the watchdog has ever flagged as stalled.
-  uint64_t watchdog_stall_events = 0;
-  /// Forwards (scores or health events) the collector refused — normally
-  /// only during shutdown when the collector queue is already closed. These
-  /// are NOT counted in `forwarded`, so
-  /// `collected == forwarded + health_events_pushed` stays exact.
-  uint64_t forward_failed = 0;
-  /// ---- Escalation tier (snapshot-triggered Algorithm 1 runs) ----------
-  /// Times the escalation bridge ran the hierarchical detector over a
-  /// snapshot diff (only snapshots with newly-flagged alarms count).
-  uint64_t escalation_runs = 0;
-  /// Alarmed entities re-scored across all runs.
-  uint64_t escalation_entities = 0;
-  /// Hierarchical findings those runs produced / alarms the detector
-  /// could not resolve to a production scope.
-  uint64_t escalation_findings = 0;
-  uint64_t escalation_unresolved = 0;
-  /// Detector cache traffic attributable to escalation (models + score
-  /// vectors reused vs rebuilt) — the incrementality measure.
-  uint64_t escalation_cache_hits = 0;
-  uint64_t escalation_cache_misses = 0;
-  /// Total wall time spent inside EscalateAlarm calls, microseconds.
-  uint64_t escalation_latency_us = 0;
-  /// ---- Background checkpointing ----------------------------------------
-  uint64_t checkpoints_written = 0;
-  uint64_t checkpoint_failures = 0;
-  /// ---- Read-side serving tier -------------------------------------------
-  /// EngineSnapshots published by the collector (each one is a potential
-  /// serve-tier delta; the hub's own fan-out counters live hub-side).
-  uint64_t snapshots_published = 0;
-  /// ---- Peer-group (space-axis) tier -------------------------------------
-  /// Deviations fired by the peer-group monitor (a channel leaving its
-  /// redundancy group's band, by level or by slope).
-  uint64_t peer_deviations = 0;
-  /// Group outages declared by quarantine-onset correlation / outages
-  /// fully recovered (every member back from quarantine).
-  uint64_t group_outages = 0;
-  uint64_t group_outage_recoveries = 0;
-  /// Per-sensor kSensorFault findings suppressed because their onset was
-  /// folded into a group outage. The FSM-side `sensor_faults` counter is
-  /// untouched by suppression — it counts quarantine entries, not
-  /// findings.
-  uint64_t suppressed_sensor_faults = 0;
-  /// ---- Online concept-shift tier (BOCPD re-baselining) ------------------
-  /// Shifts the per-lane BOCPD detectors confirmed.
-  uint64_t concept_shifts = 0;
-  /// Baseline resets actually applied (a reset deferred during quarantine
-  /// counts here when the thaw applies it).
-  uint64_t baseline_resets = 0;
-  /// Concept-shift resets that found the lane frozen and were parked
-  /// until the thaw.
-  uint64_t baseline_resets_deferred = 0;
+#define HOD_COUNTER_FIELD(name, since, help) uint64_t name = 0;
+  HOD_STREAM_COUNTERS(HOD_COUNTER_FIELD)
+#undef HOD_COUNTER_FIELD
   /// Per-level accounting (indexed by LevelValue(level) - 1): what was
   /// lost (drops + rejects) and what was withheld (quarantine) at each
   /// hierarchy level — the observability half of per-sensor-class
@@ -113,22 +113,18 @@ struct StreamStatsSnapshot {
   /// Histogram of worker drain batch sizes (log2 buckets).
   std::array<uint64_t, kBatchBuckets> batch_size_histogram{};
 
-  uint64_t rejected_total() const {
-    return rejected_queue_full + rejected_timeout + rejected_non_finite +
-           rejected_unknown_sensor + rejected_level_mismatch +
-           rejected_out_of_order + rejected_closed;
-  }
+  /// Sum of the `rejected_*` rows.
+  uint64_t rejected_total() const;
 
   /// Folds another engine's snapshot into this one (fleet roll-up).
-  /// Event counters — including every escalation_* and checkpoint_*
-  /// counter — and the per-level / batch-histogram arrays add
-  /// elementwise, so the conservation identity
-  /// `ingested == scored + dropped + rejected + quarantined` holds for
-  /// the sum iff it holds for each operand. Non-additive vectors merge by
-  /// shape: `shard_queue_high_water` takes the per-index MAX (a depth,
+  /// Every table row and the per-level / batch-histogram arrays add
+  /// elementwise, so a conservation identity that holds for each operand
+  /// holds for the sum. Non-additive vectors merge by shape: `shard_queue_high_water` takes the per-index MAX (a depth,
   /// not a count) and `shard_stalled` the per-index OR, both extended to
   /// the longer operand — fleet plants need not share a shard count.
   StreamStatsSnapshot& operator+=(const StreamStatsSnapshot& other);
+
+  bool operator==(const StreamStatsSnapshot&) const = default;
 
   /// Multi-line human-readable rendering for examples/benches.
   std::string ToString() const;
@@ -140,79 +136,52 @@ inline StreamStatsSnapshot operator+(StreamStatsSnapshot lhs,
   return lhs;
 }
 
+/// One row of HOD_STREAM_COUNTERS as data, with the snapshot field it
+/// expands to.
+struct CounterInfo {
+  const char* name;
+  uint32_t since;
+  const char* help;
+  uint64_t StreamStatsSnapshot::*field;
+};
+
+/// The counter table in row (= checkpoint) order; kCounters[i] describes
+/// `static_cast<Counter>(i)`.
+inline constexpr CounterInfo kCounters[] = {
+#define HOD_COUNTER_INFO(name, since, help) \
+  {#name, since, help, &StreamStatsSnapshot::name},
+    HOD_STREAM_COUNTERS(HOD_COUNTER_INFO)
+#undef HOD_COUNTER_INFO
+};
+inline constexpr size_t kNumCounters = std::size(kCounters);
+
 /// Lock-free counter block shared by router, shard workers, and collector.
 /// Every member is a relaxed atomic: counters are monotone event counts
 /// with no cross-counter invariant enforced mid-flight, so relaxed order
 /// is sufficient; `Snapshot()` taken at a quiescent point is exact.
 class StreamStats {
  public:
-  explicit StreamStats(size_t num_shards)
-      : shard_high_water_(num_shards) {
-    for (auto& hw : shard_high_water_) hw.store(0, std::memory_order_relaxed);
+  void Add(Counter counter, uint64_t n = 1) {
+    counters_[static_cast<size_t>(counter)].fetch_add(
+        n, std::memory_order_relaxed);
   }
-
-  void RecordIngested() { Bump(ingested_); }
-  void RecordScored(uint64_t n) {
-    scored_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void RecordRejectedQueueFull() { Bump(rejected_queue_full_); }
-  void RecordRejectedTimeout() { Bump(rejected_timeout_); }
-  void RecordRejectedNonFinite() { Bump(rejected_non_finite_); }
-  void RecordRejectedUnknownSensor() { Bump(rejected_unknown_sensor_); }
-  void RecordRejectedLevelMismatch() { Bump(rejected_level_mismatch_); }
-  void RecordRejectedOutOfOrder() { Bump(rejected_out_of_order_); }
-  void RecordRejectedQueueClosed() { Bump(rejected_closed_); }
-  void RecordForwardFailed() { Bump(forward_failed_); }
-  void RecordAlarmRaised() { Bump(alarms_raised_); }
-  void RecordAlarmCleared() { Bump(alarms_cleared_); }
-  void RecordQuarantinedSample(hierarchy::ProductionLevel level) {
-    Bump(quarantined_samples_);
-    Bump(level_quarantined_[LevelIndex(level)]);
-  }
-  void RecordSensorFault() { Bump(sensor_faults_); }
-  void RecordSensorRecovery() { Bump(sensor_recoveries_); }
-  void RecordWatchdogStall() { Bump(watchdog_stall_events_); }
   void RecordLevelDropped(hierarchy::ProductionLevel level) {
     Bump(level_dropped_[LevelIndex(level)]);
   }
   void RecordLevelRejected(hierarchy::ProductionLevel level) {
     Bump(level_rejected_[LevelIndex(level)]);
   }
-  /// Records one escalation run over a snapshot diff.
-  void RecordEscalationRun(uint64_t entities, uint64_t findings,
-                           uint64_t unresolved, uint64_t cache_hits,
-                           uint64_t cache_misses, uint64_t latency_us) {
-    escalation_runs_.fetch_add(1, std::memory_order_relaxed);
-    escalation_entities_.fetch_add(entities, std::memory_order_relaxed);
-    escalation_findings_.fetch_add(findings, std::memory_order_relaxed);
-    escalation_unresolved_.fetch_add(unresolved, std::memory_order_relaxed);
-    escalation_cache_hits_.fetch_add(cache_hits, std::memory_order_relaxed);
-    escalation_cache_misses_.fetch_add(cache_misses,
-                                       std::memory_order_relaxed);
-    escalation_latency_us_.fetch_add(latency_us, std::memory_order_relaxed);
+  void RecordLevelQuarantined(hierarchy::ProductionLevel level) {
+    Bump(level_quarantined_[LevelIndex(level)]);
   }
-  void RecordCheckpointWritten() { Bump(checkpoints_written_); }
-  void RecordCheckpointFailure() { Bump(checkpoint_failures_); }
-  void RecordSnapshotPublished() { Bump(snapshots_published_); }
-  void RecordPeerDeviation() { Bump(peer_deviations_); }
-  void RecordGroupOutage() { Bump(group_outages_); }
-  void RecordGroupOutageRecovery() { Bump(group_outage_recoveries_); }
-  void RecordSuppressedSensorFault() { Bump(suppressed_sensor_faults_); }
-  void RecordConceptShift() { Bump(concept_shifts_); }
-  void RecordBaselineReset() { Bump(baseline_resets_); }
-  void RecordBaselineResetDeferred() { Bump(baseline_resets_deferred_); }
   /// Records one worker drain of `batch` samples into the histogram.
   void RecordBatch(size_t batch);
-  /// Raises shard `shard`'s high-water mark to `depth` if deeper.
-  void UpdateShardHighWater(size_t shard, uint64_t depth);
 
-  size_t num_shards() const { return shard_high_water_.size(); }
-
+  /// Every counter except the per-shard vectors, which the engine fills
+  /// from its shard queues and watchdog.
   StreamStatsSnapshot Snapshot() const;
 
-  /// Overwrites every counter from a snapshot (checkpoint restore). Queue
-  /// high-water marks are owned by the shard queues and reset to zero in
-  /// a restored engine.
+  /// Overwrites every counter from a snapshot (checkpoint restore).
   void Restore(const StreamStatsSnapshot& snapshot);
 
   /// Clamps a level to a valid per-level counter index.
@@ -228,44 +197,11 @@ class StreamStats {
     counter.fetch_add(1, std::memory_order_relaxed);
   }
 
-  std::atomic<uint64_t> ingested_{0};
-  std::atomic<uint64_t> scored_{0};
-  std::atomic<uint64_t> rejected_queue_full_{0};
-  std::atomic<uint64_t> rejected_timeout_{0};
-  std::atomic<uint64_t> rejected_non_finite_{0};
-  std::atomic<uint64_t> rejected_unknown_sensor_{0};
-  std::atomic<uint64_t> rejected_level_mismatch_{0};
-  std::atomic<uint64_t> rejected_out_of_order_{0};
-  std::atomic<uint64_t> rejected_closed_{0};
-  std::atomic<uint64_t> alarms_raised_{0};
-  std::atomic<uint64_t> alarms_cleared_{0};
-  std::atomic<uint64_t> quarantined_samples_{0};
-  std::atomic<uint64_t> sensor_faults_{0};
-  std::atomic<uint64_t> sensor_recoveries_{0};
-  std::atomic<uint64_t> watchdog_stall_events_{0};
-  std::atomic<uint64_t> forward_failed_{0};
-  std::atomic<uint64_t> escalation_runs_{0};
-  std::atomic<uint64_t> escalation_entities_{0};
-  std::atomic<uint64_t> escalation_findings_{0};
-  std::atomic<uint64_t> escalation_unresolved_{0};
-  std::atomic<uint64_t> escalation_cache_hits_{0};
-  std::atomic<uint64_t> escalation_cache_misses_{0};
-  std::atomic<uint64_t> escalation_latency_us_{0};
-  std::atomic<uint64_t> checkpoints_written_{0};
-  std::atomic<uint64_t> checkpoint_failures_{0};
-  std::atomic<uint64_t> snapshots_published_{0};
-  std::atomic<uint64_t> peer_deviations_{0};
-  std::atomic<uint64_t> group_outages_{0};
-  std::atomic<uint64_t> group_outage_recoveries_{0};
-  std::atomic<uint64_t> suppressed_sensor_faults_{0};
-  std::atomic<uint64_t> concept_shifts_{0};
-  std::atomic<uint64_t> baseline_resets_{0};
-  std::atomic<uint64_t> baseline_resets_deferred_{0};
+  std::array<std::atomic<uint64_t>, kNumCounters> counters_{};
   std::array<std::atomic<uint64_t>, hierarchy::kNumLevels> level_dropped_{};
   std::array<std::atomic<uint64_t>, hierarchy::kNumLevels> level_rejected_{};
   std::array<std::atomic<uint64_t>, hierarchy::kNumLevels>
       level_quarantined_{};
-  std::vector<std::atomic<uint64_t>> shard_high_water_;
   std::array<std::atomic<uint64_t>, kBatchBuckets> batch_histogram_{};
 };
 

@@ -61,7 +61,7 @@ void ThreadPool::WorkerLoop(Lane& lane) {
       lane.tasks.pop_front();
     }
     task();
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+    tasks_executed_.fetch_add(1, std::memory_order_release);
   }
 }
 

@@ -83,9 +83,11 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
   size_t num_service_threads() const { return service_workers_.size(); }
-  /// Tasks executed so far across both lanes (telemetry).
+  /// Tasks executed so far across both lanes. Each task is counted with a
+  /// release after it returns and this load acquires, so a caller that
+  /// sees N has also seen every write those N tasks made.
   uint64_t tasks_executed() const {
-    return tasks_executed_.load(std::memory_order_relaxed);
+    return tasks_executed_.load(std::memory_order_acquire);
   }
 
   /// Hardware concurrency clamped to at least 2 (one thread must never be

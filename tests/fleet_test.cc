@@ -135,35 +135,12 @@ TEST(FleetRouter, PlacementSpreadsAcrossSlots) {
 /// Fills every scalar counter with a distinct value derived from `base`
 /// so a field accidentally skipped by operator+= shows up as a precise
 /// mismatch, not a coincidental pass.
+/// Every table row, per-level slot and histogram bucket gets a distinct
+/// value, so a row the roll-up skipped or crossed with another shows.
 stream::StreamStatsSnapshot FilledSnapshot(uint64_t base) {
   stream::StreamStatsSnapshot s;
   uint64_t v = base;
-  s.ingested = v++;
-  s.scored = v++;
-  s.dropped = v++;
-  s.rejected_queue_full = v++;
-  s.rejected_timeout = v++;
-  s.rejected_non_finite = v++;
-  s.rejected_unknown_sensor = v++;
-  s.rejected_level_mismatch = v++;
-  s.rejected_out_of_order = v++;
-  s.rejected_closed = v++;
-  s.alarms_raised = v++;
-  s.alarms_cleared = v++;
-  s.quarantined_samples = v++;
-  s.sensor_faults = v++;
-  s.sensor_recoveries = v++;
-  s.watchdog_stall_events = v++;
-  s.forward_failed = v++;
-  s.escalation_runs = v++;
-  s.escalation_entities = v++;
-  s.escalation_findings = v++;
-  s.escalation_unresolved = v++;
-  s.escalation_cache_hits = v++;
-  s.escalation_cache_misses = v++;
-  s.escalation_latency_us = v++;
-  s.checkpoints_written = v++;
-  s.checkpoint_failures = v++;
+  for (const stream::CounterInfo& row : stream::kCounters) s.*row.field = v++;
   for (int i = 0; i < hierarchy::kNumLevels; ++i) {
     s.level_dropped[i] = v++;
     s.level_rejected[i] = v++;
@@ -180,50 +157,17 @@ TEST(StreamStatsMerge, EveryCounterAddsIncludingEscalationAndCheckpoint) {
   const stream::StreamStatsSnapshot b = FilledSnapshot(5000);
   stream::StreamStatsSnapshot sum = a;
   sum += b;
-  EXPECT_EQ(sum.ingested, a.ingested + b.ingested);
-  EXPECT_EQ(sum.scored, a.scored + b.scored);
-  EXPECT_EQ(sum.dropped, a.dropped + b.dropped);
-  EXPECT_EQ(sum.rejected_queue_full,
-            a.rejected_queue_full + b.rejected_queue_full);
-  EXPECT_EQ(sum.rejected_timeout, a.rejected_timeout + b.rejected_timeout);
-  EXPECT_EQ(sum.rejected_non_finite,
-            a.rejected_non_finite + b.rejected_non_finite);
-  EXPECT_EQ(sum.rejected_unknown_sensor,
-            a.rejected_unknown_sensor + b.rejected_unknown_sensor);
-  EXPECT_EQ(sum.rejected_level_mismatch,
-            a.rejected_level_mismatch + b.rejected_level_mismatch);
-  EXPECT_EQ(sum.rejected_out_of_order,
-            a.rejected_out_of_order + b.rejected_out_of_order);
-  EXPECT_EQ(sum.rejected_closed, a.rejected_closed + b.rejected_closed);
+  for (const stream::CounterInfo& row : stream::kCounters) {
+    EXPECT_EQ(sum.*row.field, a.*row.field + b.*row.field) << row.name;
+  }
+  // rejected_total() sums the rows by name prefix; pin it to the seven
+  // rejection buckets the conservation identity means.
+  EXPECT_EQ(a.rejected_total(),
+            a.rejected_queue_full + a.rejected_timeout +
+                a.rejected_non_finite + a.rejected_unknown_sensor +
+                a.rejected_level_mismatch + a.rejected_out_of_order +
+                a.rejected_closed);
   EXPECT_EQ(sum.rejected_total(), a.rejected_total() + b.rejected_total());
-  EXPECT_EQ(sum.alarms_raised, a.alarms_raised + b.alarms_raised);
-  EXPECT_EQ(sum.alarms_cleared, a.alarms_cleared + b.alarms_cleared);
-  EXPECT_EQ(sum.quarantined_samples,
-            a.quarantined_samples + b.quarantined_samples);
-  EXPECT_EQ(sum.sensor_faults, a.sensor_faults + b.sensor_faults);
-  EXPECT_EQ(sum.sensor_recoveries, a.sensor_recoveries + b.sensor_recoveries);
-  EXPECT_EQ(sum.watchdog_stall_events,
-            a.watchdog_stall_events + b.watchdog_stall_events);
-  EXPECT_EQ(sum.forward_failed, a.forward_failed + b.forward_failed);
-  // The escalation_* block — the satellite audit's named suspects.
-  EXPECT_EQ(sum.escalation_runs, a.escalation_runs + b.escalation_runs);
-  EXPECT_EQ(sum.escalation_entities,
-            a.escalation_entities + b.escalation_entities);
-  EXPECT_EQ(sum.escalation_findings,
-            a.escalation_findings + b.escalation_findings);
-  EXPECT_EQ(sum.escalation_unresolved,
-            a.escalation_unresolved + b.escalation_unresolved);
-  EXPECT_EQ(sum.escalation_cache_hits,
-            a.escalation_cache_hits + b.escalation_cache_hits);
-  EXPECT_EQ(sum.escalation_cache_misses,
-            a.escalation_cache_misses + b.escalation_cache_misses);
-  EXPECT_EQ(sum.escalation_latency_us,
-            a.escalation_latency_us + b.escalation_latency_us);
-  // The checkpoint_* block.
-  EXPECT_EQ(sum.checkpoints_written,
-            a.checkpoints_written + b.checkpoints_written);
-  EXPECT_EQ(sum.checkpoint_failures,
-            a.checkpoint_failures + b.checkpoint_failures);
   for (int i = 0; i < hierarchy::kNumLevels; ++i) {
     EXPECT_EQ(sum.level_dropped[i], a.level_dropped[i] + b.level_dropped[i]);
     EXPECT_EQ(sum.level_rejected[i],

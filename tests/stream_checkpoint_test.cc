@@ -109,6 +109,89 @@ TEST(EngineCheckpoint, WriteReadRoundTripsEveryField) {
   EXPECT_EQ(os.str(), bytes);
 }
 
+/// A small synchronous engine's checkpoint, parsed.
+EngineCheckpoint SmallCheckpoint(const StreamEngineOptions& options) {
+  StreamEngine engine(options);
+  EXPECT_TRUE(engine.AddSensor("a", ProductionLevel::kPhase).ok());
+  EXPECT_TRUE(engine.Start().ok());
+  Feed(engine, "a", MakeStream(23, 100), 0, 100);
+  EXPECT_TRUE(engine.Flush().ok());
+  std::istringstream is(CheckpointBytes(engine));
+  auto checkpoint = ReadEngineCheckpoint(is);
+  EXPECT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  return *checkpoint;
+}
+
+/// Reference oracle: the v6 stats section in the field order the writer
+/// used before the counters moved into one table.
+std::string ReferenceV6StatsBytes(const StreamStatsSnapshot& stats) {
+  namespace bin = hierarchy::bin;
+  std::ostringstream os;
+  for (uint64_t value :
+       {stats.ingested, stats.scored, stats.dropped, stats.rejected_queue_full,
+        stats.rejected_timeout, stats.rejected_non_finite,
+        stats.rejected_unknown_sensor, stats.rejected_level_mismatch,
+        stats.rejected_out_of_order, stats.rejected_closed,
+        stats.alarms_raised, stats.alarms_cleared, stats.quarantined_samples,
+        stats.sensor_faults, stats.sensor_recoveries,
+        stats.watchdog_stall_events, stats.forward_failed,
+        stats.escalation_runs, stats.escalation_entities,
+        stats.escalation_findings, stats.escalation_unresolved,
+        stats.escalation_cache_hits, stats.escalation_cache_misses,
+        stats.escalation_latency_us, stats.checkpoints_written,
+        stats.checkpoint_failures, stats.peer_deviations, stats.group_outages,
+        stats.group_outage_recoveries, stats.suppressed_sensor_faults,
+        stats.concept_shifts, stats.baseline_resets,
+        stats.baseline_resets_deferred, stats.snapshots_published}) {
+    bin::WriteU64(os, value);
+  }
+  for (uint64_t count : stats.level_dropped) bin::WriteU64(os, count);
+  for (uint64_t count : stats.level_rejected) bin::WriteU64(os, count);
+  for (uint64_t count : stats.level_quarantined) bin::WriteU64(os, count);
+  for (uint64_t count : stats.batch_size_histogram) bin::WriteU64(os, count);
+  return os.str();
+}
+
+TEST(EngineCheckpoint, StatsSectionRoundTripsEveryCounterInV6ByteOrder) {
+  EngineCheckpoint checkpoint = SmallCheckpoint(SyncOptions());
+  // A distinct value in every table row, per-level slot and histogram
+  // bucket, so a skipped or swapped field cannot round-trip.
+  StreamStatsSnapshot& stats = checkpoint.stats;
+  uint64_t v = 1000;
+  for (const CounterInfo& row : kCounters) stats.*row.field = v++;
+  for (int i = 0; i < hierarchy::kNumLevels; ++i) {
+    stats.level_dropped[i] = v++;
+    stats.level_rejected[i] = v++;
+    stats.level_quarantined[i] = v++;
+  }
+  for (uint64_t& count : stats.batch_size_histogram) count = v++;
+
+  std::ostringstream os;
+  ASSERT_TRUE(WriteEngineCheckpoint(checkpoint, os).ok());
+  const std::string bytes = os.str();
+  // The stats section closes the image.
+  const std::string reference = ReferenceV6StatsBytes(stats);
+  ASSERT_GE(bytes.size(), reference.size());
+  EXPECT_EQ(bytes.substr(bytes.size() - reference.size()), reference);
+
+  std::istringstream is(bytes);
+  auto parsed = ReadEngineCheckpoint(is);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->stats, stats);
+}
+
+TEST(EngineCheckpoint, RestoredDroppedCountIsReportedBeforeAnyIngest) {
+  const StreamEngineOptions options = SyncOptions();
+  EngineCheckpoint checkpoint = SmallCheckpoint(options);
+  checkpoint.stats.dropped = 7;
+  std::ostringstream os;
+  ASSERT_TRUE(WriteEngineCheckpoint(checkpoint, os).ok());
+  std::istringstream is(os.str());
+  auto restored = StreamEngine::Restore(is, options);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ((*restored)->stats().dropped, 7u);
+}
+
 TEST(EngineCheckpoint, KillAndRestoreResumesByteIdentically) {
   // The tentpole acceptance test: run A streams the whole sequence in one
   // uninterrupted life; run B ingests the identical sequence but is killed

@@ -298,8 +298,7 @@ TEST(StreamConcurrency, SpscEnginePartityWithSerialReference) {
 // mid-stream deterministically.
 struct ScorerHarness {
   explicit ScorerHarness(ShardedScorerOptions options)
-      : stats(options.num_shards),
-        collector(1 << 16, BackpressurePolicy::kBlock),
+      : collector(1 << 16, BackpressurePolicy::kBlock),
         scorer(options, &stats, &collector, nullptr) {}
   StreamStats stats;
   BoundedQueue<ScoredSample> collector;
@@ -554,7 +553,7 @@ TEST(StreamConcurrency, CollectorSeesPerSensorEventOrder) {
   options.monitor.warmup = 64;
   options.forward_threshold = -1.0;  // every admitted score is forwarded
   options.shift_enabled = true;
-  StreamStats stats(options.num_shards);
+  StreamStats stats;
   BoundedQueue<ScoredSample> collector(2, BackpressurePolicy::kBlock);
   SensorHealthOptions health_options;
   health_options.staleness_timeout = 0.0;
