@@ -15,7 +15,11 @@
 // chunks and the fastest chunk is reported (min-of-chunks screens out
 // scheduler noise on shared CI boxes). It verifies the two legs end
 // bit-identical (scores, counters, saved state) and writes
-// BENCH_MICRO.json; the CI gate fails below the 2x speedup floor.
+// BENCH_MICRO.json; the CI gate fails below the 2x speedup floor. The
+// same JSON also records, ungated, the per-call cost of the two layers a
+// shard worker runs beside the bank: ns per PeerGroupMonitor::Observe
+// (pair groups, window 64) and ns per BocpdDetector::Push (64 run-length
+// buckets).
 
 #include <benchmark/benchmark.h>
 
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "core/batch_monitor.h"
+#include "core/bocpd.h"
 #include "core/hierarchical_detector.h"
 #include "core/monitor.h"
 #include "detect/ar_detector.h"
@@ -37,6 +42,7 @@
 #include "detect/window_db.h"
 #include "sim/datasets.h"
 #include "sim/plant.h"
+#include "stream/peer_group.h"
 #include "timeseries/sax.h"
 #include "timeseries/spectral.h"
 #include "util/rng.h"
@@ -223,6 +229,69 @@ bool StatesIdentical(const core::OnlineMonitorState& a,
          a.alarms_raised == b.alarms_raised;
 }
 
+/// Per-call cost of the peer and BOCPD layers, min of `cfg.chunks`.
+struct LayerCallCosts {
+  double peer_observe_ns = 0.0;
+  double bocpd_push_ns = 0.0;
+};
+
+/// Times both layers on warm state: 64 pair groups at the default peer
+/// window of 64, and one default BocpdDetector (max_run_length 64) per
+/// sensor, fed the same stationary streams in round-robin order.
+LayerCallCosts TimeLayerCalls(const MicroCompareConfig& cfg) {
+  using Clock = std::chrono::steady_clock;
+  constexpr size_t kPairs = 64;
+  constexpr size_t kWarm = 128;
+  const size_t rounds_per_chunk = cfg.rounds / cfg.chunks;
+  const size_t sensors = 2 * kPairs;
+  stream::PeerGroupMonitor peers;
+  std::vector<std::string> ids;
+  for (size_t p = 0; p < kPairs; ++p) {
+    const std::string group = "pair" + std::to_string(p);
+    ids.push_back(group + ".a");
+    ids.push_back(group + ".b");
+    (void)peers.AddGroup(group, {ids[2 * p], ids[2 * p + 1]});
+  }
+  std::vector<core::BocpdDetector> detectors(sensors);
+  std::vector<std::vector<double>> streams(sensors);
+  for (size_t s = 0; s < sensors; ++s) {
+    Rng rng(500 + s);
+    for (size_t i = 0; i < kWarm + cfg.rounds; ++i) {
+      streams[s].push_back(40.0 + rng.Gaussian(0.0, 0.4));
+    }
+  }
+  const auto time_layer = [&](const auto& call) {
+    for (size_t i = 0; i < kWarm; ++i) {
+      for (size_t s = 0; s < sensors; ++s) call(s, i);
+    }
+    double best = 0.0;
+    for (size_t c = 0; c < cfg.chunks; ++c) {
+      const auto start = Clock::now();
+      for (size_t i = kWarm + c * rounds_per_chunk;
+           i < kWarm + (c + 1) * rounds_per_chunk; ++i) {
+        for (size_t s = 0; s < sensors; ++s) call(s, i);
+      }
+      const double ns =
+          std::chrono::duration<double, std::nano>(Clock::now() - start)
+              .count() /
+          static_cast<double>(rounds_per_chunk * sensors);
+      best = c == 0 ? ns : std::min(best, ns);
+    }
+    return best;
+  };
+  LayerCallCosts costs;
+  costs.peer_observe_ns = time_layer([&](size_t s, size_t i) {
+    auto fired = peers.Observe(ids[s], hierarchy::ProductionLevel::kPhase,
+                               static_cast<double>(i), streams[s][i]);
+    benchmark::DoNotOptimize(fired);
+  });
+  costs.bocpd_push_ns = time_layer([&](size_t s, size_t i) {
+    auto shift = detectors[s].Push(streams[s][i]);
+    benchmark::DoNotOptimize(shift);
+  });
+  return costs;
+}
+
 int RunMicroCompare() {
   const MicroCompareConfig cfg;
   core::OnlineMonitorOptions options;
@@ -334,6 +403,11 @@ int RunMicroCompare() {
               batched_ns);
   std::printf("  speedup: %.2fx (floor %.1fx), parity_ok: %s\n", speedup,
               kSpeedupFloor, parity_ok ? "true" : "false");
+  const LayerCallCosts layers = TimeLayerCalls(cfg);
+  std::printf("  peer Observe (pairs, window 64): %8.1f ns/call\n",
+              layers.peer_observe_ns);
+  std::printf("  BOCPD Push (64 buckets):         %8.1f ns/call\n",
+              layers.bocpd_push_ns);
 
   std::ofstream json("BENCH_MICRO.json");
   json << "{\n"
@@ -346,7 +420,9 @@ int RunMicroCompare() {
        << "  \"batched_ns_per_sample\": " << batched_ns << ",\n"
        << "  \"speedup\": " << speedup << ",\n"
        << "  \"speedup_floor\": " << kSpeedupFloor << ",\n"
-       << "  \"parity_ok\": " << (parity_ok ? "true" : "false") << "\n"
+       << "  \"parity_ok\": " << (parity_ok ? "true" : "false") << ",\n"
+       << "  \"peer_observe_ns\": " << layers.peer_observe_ns << ",\n"
+       << "  \"bocpd_push_ns\": " << layers.bocpd_push_ns << "\n"
        << "}\n";
   json.close();
   std::printf("Wrote BENCH_MICRO.json\n");

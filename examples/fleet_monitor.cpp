@@ -136,9 +136,7 @@ int main() {
   const fleet::FleetStatsSnapshot stats = fleet.Stats();
   std::printf("\n%s\n", stats.ToString().c_str());
   const stream::StreamStatsSnapshot& agg = stats.aggregate;
-  const bool conserved =
-      agg.ingested == agg.scored + agg.dropped + agg.rejected_total() +
-                          agg.quarantined_samples;
+  const bool conserved = agg.ConservesSamples();
   const bool exact = agg.ingested == pushed;
   std::printf("conservation: %s   ingested==pushed: %s (%llu)\n",
               conserved ? "ok" : "VIOLATED", exact ? "ok" : "VIOLATED",

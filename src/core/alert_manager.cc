@@ -33,6 +33,14 @@ void AlertManager::IngestBatch(const std::vector<OutlierFinding>& findings) {
   for (const OutlierFinding& finding : findings) Ingest(finding);
 }
 
+void AlertManager::IngestBatch(std::vector<OutlierFinding>&& findings) {
+  for (OutlierFinding& finding : findings) {
+    findings_.push_back(std::move(finding));
+    Index(findings_.size() - 1);
+  }
+  findings.clear();
+}
+
 void AlertManager::RestoreFindings(std::vector<OutlierFinding> findings) {
   findings_ = std::move(findings);
   process_.clear();

@@ -72,6 +72,9 @@ class AlertManager {
   /// Ingests a batch of findings (the streaming collector's path: one
   /// call per drained micro-batch instead of one per finding).
   void IngestBatch(const std::vector<OutlierFinding>& findings);
+  /// Same, moving each finding in instead of copying it. `findings` is
+  /// left empty with its capacity kept, ready to collect the next batch.
+  void IngestBatch(std::vector<OutlierFinding>&& findings);
 
   size_t findings_ingested() const { return findings_.size(); }
 

@@ -23,11 +23,13 @@ double LogGamma(double x) {
 }
 
 /// Student-t density with `df` degrees of freedom, location `mean`,
-/// scale `scale` — the Normal-Gamma posterior predictive.
-double StudentTPdf(double x, double df, double mean, double scale) {
+/// scale `scale` — the Normal-Gamma posterior predictive. The caller
+/// supplies `log_gamma_upper` = LogGamma((df + 1) / 2) and
+/// `log_gamma_lower` = LogGamma(df / 2).
+double StudentTPdf(double x, double df, double mean, double scale,
+                   double log_gamma_upper, double log_gamma_lower) {
   const double z = (x - mean) / scale;
-  const double log_pdf = LogGamma((df + 1.0) * 0.5) -
-                         LogGamma(df * 0.5) -
+  const double log_pdf = log_gamma_upper - log_gamma_lower -
                          0.5 * std::log(df * M_PI) - std::log(scale) -
                          (df + 1.0) * 0.5 * std::log1p(z * z / df);
   return std::exp(log_pdf);
@@ -50,6 +52,8 @@ BocpdDetector::BocpdDetector(BocpdOptions options) : options_(options) {
   if (!FinitePositive(options_.prior_kappa)) options_.prior_kappa = 1.0;
   if (!FinitePositive(options_.prior_alpha)) options_.prior_alpha = 1.0;
   if (!FinitePositive(options_.prior_beta)) options_.prior_beta = 1.0;
+  // A restored posterior may hold max_run_length + 1 buckets, and a step
+  // grows it by one before truncating.
   const size_t cap = options_.max_run_length + 2;
   weight_.reserve(cap);
   mu_.reserve(cap);
@@ -57,26 +61,41 @@ BocpdDetector::BocpdDetector(BocpdOptions options) : options_(options) {
   alpha_.reserve(cap);
   beta_.reserve(cap);
   run_length_.reserve(cap);
-  next_weight_.reserve(cap);
-  next_mu_.reserve(cap);
-  next_kappa_.reserve(cap);
-  next_alpha_.reserve(cap);
-  next_beta_.reserve(cap);
-  next_run_length_.reserve(cap);
+  log_gamma_alpha_.reserve(cap);
 }
 
 void BocpdDetector::Rebase(double mean, double kappa, double alpha,
-                           double beta, uint64_t run_length) {
+                           double beta, uint64_t run_length,
+                           double log_gamma_alpha) {
   weight_.assign(1, 1.0);
   mu_.assign(1, mean);
   kappa_.assign(1, kappa);
   alpha_.assign(1, alpha);
   beta_.assign(1, beta);
   run_length_.assign(1, run_length);
+  log_gamma_alpha_.assign(1, log_gamma_alpha);
+}
+
+void BocpdDetector::ResizeBuckets(size_t n) {
+  weight_.resize(n);
+  mu_.resize(n);
+  kappa_.resize(n);
+  alpha_.resize(n);
+  beta_.resize(n);
+  run_length_.resize(n);
+  log_gamma_alpha_.resize(n);
 }
 
 std::optional<BocpdShift> BocpdDetector::Push(double value) {
   if (!std::isfinite(value)) return std::nullopt;
+  if (!log_gamma_ready_) {
+    log_gamma_prior_alpha_ = LogGamma(options_.prior_alpha);
+    log_gamma_alpha_.resize(alpha_.size());
+    for (size_t i = 0; i < alpha_.size(); ++i) {
+      log_gamma_alpha_[i] = LogGamma(alpha_[i]);
+    }
+    log_gamma_ready_ = true;
+  }
   if (!prior_seeded_) {
     // Empirical prior: center the Normal-Gamma on the first sample so
     // absolute data scale (a channel living at 100.0) does not read as a
@@ -84,79 +103,84 @@ std::optional<BocpdShift> BocpdDetector::Push(double value) {
     prior_seeded_ = true;
     prior_mean_ = value;
     Rebase(prior_mean_, options_.prior_kappa, options_.prior_alpha,
-           options_.prior_beta, 0);
+           options_.prior_beta, 0, log_gamma_prior_alpha_);
   }
   ++samples_seen_;
 
   const double hazard = 1.0 / options_.hazard_lambda;
   const size_t n = weight_.size();
-  next_weight_.assign(n + 1, 0.0);
-  next_mu_.resize(n + 1);
-  next_kappa_.resize(n + 1);
-  next_alpha_.resize(n + 1);
-  next_beta_.resize(n + 1);
-  next_run_length_.resize(n + 1);
-  // Slot 0 is the fresh-changepoint bucket (r = 0, prior stats).
-  next_mu_[0] = prior_mean_;
-  next_kappa_[0] = options_.prior_kappa;
-  next_alpha_[0] = options_.prior_alpha;
-  next_beta_[0] = options_.prior_beta;
-  next_run_length_[0] = 0;
-
-  double normalizer = 0.0;
-  for (size_t i = 0; i < n; ++i) {
+  ResizeBuckets(n + 1);
+  // Growth, in place: bucket i absorbs the sample and moves to slot i + 1.
+  // Walking downward reads each bucket before its slot is overwritten;
+  // slot i + 1 holds bucket i's unnormalized mass until the sums below.
+  // The predictive's LogGamma((df + 1) / 2) is exactly LogGamma(alpha +
+  // 0.5), the grown bucket's LogGamma(df / 2) on the next step, so it is
+  // carried along instead of recomputed.
+  for (size_t i = n; i-- > 0;) {
+    const double mu = mu_[i];
+    const double kappa = kappa_[i];
+    const double alpha = alpha_[i];
+    const double beta = beta_[i];
     const double scale = std::sqrt(
-        std::max(beta_[i] * (kappa_[i] + 1.0) / (alpha_[i] * kappa_[i]),
+        std::max(beta * (kappa + 1.0) / (alpha * kappa),
                  kSigmaFloor * kSigmaFloor));
-    const double pred = StudentTPdf(value, 2.0 * alpha_[i], mu_[i], scale);
-    const double mass = weight_[i] * pred;
-    // Growth: this regime absorbs the sample.
-    next_weight_[i + 1] = mass * (1.0 - hazard);
-    next_mu_[i + 1] = (kappa_[i] * mu_[i] + value) / (kappa_[i] + 1.0);
-    next_kappa_[i + 1] = kappa_[i] + 1.0;
-    next_alpha_[i + 1] = alpha_[i] + 0.5;
-    next_beta_[i + 1] =
-        beta_[i] +
-        kappa_[i] * (value - mu_[i]) * (value - mu_[i]) /
-            (2.0 * (kappa_[i] + 1.0));
-    next_run_length_[i + 1] = run_length_[i] + 1;
-    // Changepoint: mass routed to r = 0.
-    next_weight_[0] += mass * hazard;
+    const double df = 2.0 * alpha;
+    const double log_gamma_upper = LogGamma((df + 1.0) * 0.5);
+    const double pred = StudentTPdf(value, df, mu, scale, log_gamma_upper,
+                                    log_gamma_alpha_[i]);
+    weight_[i + 1] = weight_[i] * pred;
+    mu_[i + 1] = (kappa * mu + value) / (kappa + 1.0);
+    kappa_[i + 1] = kappa + 1.0;
+    alpha_[i + 1] = alpha + 0.5;
+    beta_[i + 1] =
+        beta + kappa * (value - mu) * (value - mu) / (2.0 * (kappa + 1.0));
+    run_length_[i + 1] = run_length_[i] + 1;
+    log_gamma_alpha_[i + 1] = log_gamma_upper;
+  }
+  // Each growth keeps (1 - hazard) of its mass; the changepoint slot
+  // r = 0 (prior stats) collects the rest. Both sums run oldest bucket
+  // first: floating-point addition is not associative, and this order
+  // is what keeps the posterior bit-identical to the two-array form.
+  double normalizer = 0.0;
+  double changepoint = 0.0;
+  for (size_t i = 1; i <= n; ++i) {
+    const double mass = weight_[i];
+    weight_[i] = mass * (1.0 - hazard);
+    changepoint += mass * hazard;
     normalizer += mass;
   }
+  weight_[0] = changepoint;
+  mu_[0] = prior_mean_;
+  kappa_[0] = options_.prior_kappa;
+  alpha_[0] = options_.prior_alpha;
+  beta_[0] = options_.prior_beta;
+  run_length_[0] = 0;
+  log_gamma_alpha_[0] = log_gamma_prior_alpha_;
 
   if (!(normalizer > 0.0) || !std::isfinite(normalizer)) {
     // Every predictive underflowed (a sample absurdly far from every
     // regime). Restart the posterior at the observed value — the only
     // deterministic recovery that keeps scoring meaningful.
     Rebase(value, options_.prior_kappa, options_.prior_alpha,
-           options_.prior_beta, 0);
+           options_.prior_beta, 0, log_gamma_prior_alpha_);
   } else {
-    for (auto& w : next_weight_) w /= normalizer;
+    for (auto& w : weight_) w /= normalizer;
     // Constant-memory truncation: merge the two longest-run buckets
     // (weights add, the longer run's statistics win — they summarize
     // strictly more data).
-    while (next_weight_.size() > options_.max_run_length) {
-      const size_t last = next_weight_.size() - 1;
-      next_weight_[last - 1] += next_weight_[last];
-      next_mu_[last - 1] = next_mu_[last];
-      next_kappa_[last - 1] = next_kappa_[last];
-      next_alpha_[last - 1] = next_alpha_[last];
-      next_beta_[last - 1] = next_beta_[last];
-      next_run_length_[last - 1] = next_run_length_[last];
-      next_weight_.pop_back();
-      next_mu_.pop_back();
-      next_kappa_.pop_back();
-      next_alpha_.pop_back();
-      next_beta_.pop_back();
-      next_run_length_.pop_back();
+    if (weight_.size() > options_.max_run_length) {
+      for (size_t last = weight_.size() - 1;
+           last >= options_.max_run_length; --last) {
+        weight_[last - 1] += weight_[last];
+        mu_[last - 1] = mu_[last];
+        kappa_[last - 1] = kappa_[last];
+        alpha_[last - 1] = alpha_[last];
+        beta_[last - 1] = beta_[last];
+        run_length_[last - 1] = run_length_[last];
+        log_gamma_alpha_[last - 1] = log_gamma_alpha_[last];
+      }
+      ResizeBuckets(options_.max_run_length);
     }
-    weight_.swap(next_weight_);
-    mu_.swap(next_mu_);
-    kappa_.swap(next_kappa_);
-    alpha_.swap(next_alpha_);
-    beta_.swap(next_beta_);
-    run_length_.swap(next_run_length_);
   }
 
   // Track the last established regime: the overall MAP bucket, when its
@@ -227,7 +251,8 @@ std::optional<BocpdShift> BocpdDetector::Push(double value) {
   // Exactly-once: collapse onto the confirmed post-shift regime and hold
   // off until it has had time to establish itself.
   Rebase(mu_[best_recent], kappa_[best_recent], alpha_[best_recent],
-         beta_[best_recent], run_length_[best_recent]);
+         beta_[best_recent], run_length_[best_recent],
+         log_gamma_alpha_[best_recent]);
   stable_mean_ = after_mean;
   stable_sigma_ = after_sigma;
   stable_support_ = run_length_[0];
@@ -316,6 +341,9 @@ Status BocpdDetector::RestoreState(const BocpdState& state) {
   stable_mean_ = state.stable_mean;
   stable_sigma_ = std::max(state.stable_sigma, kSigmaFloor);
   stable_support_ = state.stable_support;
+  // The log-gamma cache is refilled by the next Push: a restore that is
+  // never fed (a fleet restart's idle lanes) costs no lgamma call.
+  log_gamma_ready_ = false;
   return Status::Ok();
 }
 

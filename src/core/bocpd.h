@@ -12,7 +12,7 @@ namespace hod::core {
 
 /// Tuning for the Bayesian online changepoint detector (Adams & MacKay
 /// 2007) with a Normal-Gamma conjugate observation model. Defaults are
-/// sized for per-sensor streaming: ~1 KiB of state, O(max_run_length)
+/// sized for per-sensor streaming: ~4 KiB of state, O(max_run_length)
 /// work per sample, no allocation after construction.
 struct BocpdOptions {
   /// Expected run length between changepoints; hazard = 1/lambda per
@@ -123,7 +123,9 @@ class BocpdDetector {
   /// Collapses the posterior to a single bucket at the given regime
   /// (used on confirm; also the seeded-restart primitive).
   void Rebase(double mean, double kappa, double alpha, double beta,
-              uint64_t run_length);
+              uint64_t run_length, double log_gamma_alpha);
+  /// Resizes every parallel bucket array to `n` buckets.
+  void ResizeBuckets(size_t n);
 
   BocpdOptions options_;
   // Parallel bucket arrays, index 0 .. buckets-1. weight_ sums to 1.
@@ -133,13 +135,12 @@ class BocpdDetector {
   std::vector<double> alpha_;
   std::vector<double> beta_;
   std::vector<uint64_t> run_length_;
-  // Scratch for the grow step (avoids per-sample allocation).
-  std::vector<double> next_weight_;
-  std::vector<double> next_mu_;
-  std::vector<double> next_kappa_;
-  std::vector<double> next_alpha_;
-  std::vector<double> next_beta_;
-  std::vector<uint64_t> next_run_length_;
+  // LogGamma(alpha_[i]), carried from step to step (derived state, not
+  // checkpointed). Valid only while log_gamma_ready_: construction and
+  // RestoreState clear the flag, and the next Push refills the cache.
+  std::vector<double> log_gamma_alpha_;
+  double log_gamma_prior_alpha_ = 0.0;
+  bool log_gamma_ready_ = false;
 
   uint64_t samples_seen_ = 0;
   uint64_t shifts_confirmed_ = 0;

@@ -812,8 +812,7 @@ void StreamEngine::DrainCollectorQueueSync() {
 void StreamEngine::IngestPendingFindings() {
   if (pending_findings_.empty()) return;
   std::lock_guard<std::mutex> lock(alerts_mu_);
-  alerts_.IngestBatch(pending_findings_);
-  pending_findings_.clear();
+  alerts_.IngestBatch(std::move(pending_findings_));
 }
 
 void StreamEngine::RecordIngestFault(const SensorSample& sample,

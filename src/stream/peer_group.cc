@@ -19,6 +19,39 @@ double MedianInPlace(std::vector<double>& values) {
   return 0.5 * (lower + upper);
 }
 
+/// Median of `n > 0` ascending values: the same order statistics, and the
+/// same even-count average, as MedianInPlace.
+double SortedMedian(const double* sorted, size_t n) {
+  const size_t mid = n / 2;
+  if (n % 2 == 1) return sorted[mid];
+  return 0.5 * (sorted[mid - 1] + sorted[mid]);
+}
+
+/// Median of |sorted[i] - med| over `n > 0` ascending values, where `med`
+/// is their SortedMedian. Entries below the middle index lie at or below
+/// `med` and those from it upward at or above it, so walking outward from
+/// the middle visits two runs whose distances to `med` never decrease
+/// (rounded subtraction is monotone). Merging the runs yields the
+/// distances in ascending order; the walk stops at the middle order
+/// statistics, which are exactly the ones MedianInPlace would select.
+double SortedMad(const double* sorted, size_t n, double med) {
+  const size_t mid = n / 2;
+  size_t below = mid;  // next entry of the lower run is sorted[below - 1]
+  size_t above = mid;  // next entry of the upper run is sorted[above]
+  double previous = 0.0;
+  double current = 0.0;
+  for (size_t k = 0; k <= mid; ++k) {
+    previous = current;
+    const bool take_above =
+        below == 0 || (above < n && std::fabs(sorted[above] - med) <=
+                                        std::fabs(sorted[below - 1] - med));
+    current = take_above ? std::fabs(sorted[above++] - med)
+                         : std::fabs(sorted[--below] - med);
+  }
+  if (n % 2 == 1) return current;
+  return 0.5 * (previous + current);
+}
+
 /// Exact-schema check: cohort machines must expose the same configuration
 /// components in the same order (configs stamped from one template do).
 bool SameConfigurationSchema(const ts::FeatureVector& a,
@@ -131,6 +164,7 @@ Status PeerGroupMonitor::AddGroup(const std::string& group_id,
     group->member_index[sensor_id] = group->members.size();
     Member member;
     member.sensor_id = sensor_id;
+    member.ring_sorted.reserve(options_.window + 1);
     group->members.push_back(std::move(member));
   }
   Group* raw = group.get();
@@ -198,8 +232,7 @@ std::optional<PeerDeviation> PeerGroupMonitor::ObserveInGroup(
   // Per-thread scratch: each observing thread reuses its buffers, so a
   // warm observation allocates nothing.
   thread_local std::vector<double> peers;
-  thread_local std::vector<double> work;
-  thread_local std::vector<double> spread;
+  thread_local std::vector<double> detrended;
   Member& self = group.members[member_index];
   // Reference: the median of the OTHER members' latest values, freshness-
   // gated so a silent peer cannot anchor the group at a stale level. The
@@ -224,16 +257,21 @@ std::optional<PeerDeviation> PeerGroupMonitor::ObserveInGroup(
 
   std::optional<PeerDeviation> fired;
   const size_t n = self.ring_size();
+  const ts::TimePoint* ring_ts = self.ring_ts.data() + self.ring_begin;
+  const double* ring_residual = self.ring_residual.data() + self.ring_begin;
+  if (self.ring_sorted.size() != n) {
+    // First observation since RestoreState: rebuild the sorted copy here,
+    // on the observing thread, so a restore sorts no ring it never feeds.
+    self.ring_sorted.assign(ring_residual, ring_residual + n);
+    std::sort(self.ring_sorted.begin(), self.ring_sorted.end());
+  }
   if (n >= options_.warmup) {
-    const ts::TimePoint* ring_ts = self.ring_ts.data() + self.ring_begin;
-    const double* ring_residual = self.ring_residual.data() + self.ring_begin;
-    work.assign(ring_residual, ring_residual + n);
-    const double med = MedianInPlace(work);
-    for (double& r : work) r = std::fabs(r - med);
+    const double med = SortedMedian(self.ring_sorted.data(), n);
     // 1.4826: MAD -> sigma under normality, so deviation_z reads as a
     // familiar z threshold.
     const double scale =
-        std::max(1.4826 * MedianInPlace(work), options_.min_scale);
+        std::max(1.4826 * SortedMad(self.ring_sorted.data(), n, med),
+                 options_.min_scale);
     const double value_z = std::fabs(residual - med) / scale;
 
     // Drift test: OLS slope of the residual ring over stream time,
@@ -263,18 +301,18 @@ std::optional<PeerDeviation> PeerGroupMonitor::ObserveInGroup(
       }
       if (den > 0.0) {
         const double slope = num / den;
-        std::vector<double>& detrended = work;  // n entries, reused
+        detrended.resize(n);
         for (size_t i = 0; i < n; ++i) {
           detrended[i] = ring_residual[i] - mean_r -
                          slope * (ring_ts[i] - mean_t);
         }
-        spread.assign(detrended.begin(), detrended.end());
-        const double med_e = MedianInPlace(spread);
-        for (size_t i = 0; i < n; ++i) {
-          spread[i] = std::fabs(detrended[i] - med_e);
-        }
+        // Order-free from here on: sort once, then the same median and
+        // MAD walk as the residual ring.
+        std::sort(detrended.begin(), detrended.end());
+        const double med_e = SortedMedian(detrended.data(), n);
         const double noise_scale =
-            std::max(1.4826 * MedianInPlace(spread), options_.min_scale);
+            std::max(1.4826 * SortedMad(detrended.data(), n, med_e),
+                     options_.min_scale);
         slope_stat = std::fabs(slope) * span / noise_scale;
       }
     }
@@ -309,8 +347,17 @@ std::optional<PeerDeviation> PeerGroupMonitor::ObserveInGroup(
 
   self.ring_ts.push_back(ts);
   self.ring_residual.push_back(residual);
+  self.ring_sorted.insert(std::upper_bound(self.ring_sorted.begin(),
+                                           self.ring_sorted.end(), residual),
+                          residual);
   if (self.ring_size() > options_.window) {
-    self.ring_begin = self.ring_residual.size() - options_.window;
+    const size_t begin = self.ring_residual.size() - options_.window;
+    for (size_t i = self.ring_begin; i < begin; ++i) {
+      self.ring_sorted.erase(std::lower_bound(self.ring_sorted.begin(),
+                                              self.ring_sorted.end(),
+                                              self.ring_residual[i]));
+    }
+    self.ring_begin = begin;
   }
   if (self.ring_begin >= options_.window) {
     // The dead prefix is a full window long: slide the live ring to the
@@ -385,6 +432,7 @@ Status PeerGroupMonitor::RestoreState(
       member.ring_ts = ms.ring_ts;
       member.ring_residual = ms.ring_residual;
       member.ring_begin = 0;
+      member.ring_sorted.clear();  // rebuilt by the member's next Observe
       member.breach_streak = ms.breach_streak;
       member.calm_streak = ms.calm_streak;
       member.fired = ms.fired;

@@ -188,6 +188,13 @@ class PeerGroupMonitor {
     std::vector<ts::TimePoint> ring_ts;
     std::vector<double> ring_residual;
     size_t ring_begin = 0;
+    /// The live ring's residuals in ascending order (derived state, not
+    /// checkpointed: RestoreState empties it and the next observation
+    /// rebuilds it). Capacity window + 1, reserved once: an observation
+    /// inserts its residual at upper_bound and erases the evicted one at
+    /// lower_bound, and the ring's median and MAD are read from it without
+    /// a selection.
+    std::vector<double> ring_sorted;
     uint64_t breach_streak = 0;
     uint64_t calm_streak = 0;
     bool fired = false;

@@ -61,6 +61,12 @@ uint64_t StreamStatsSnapshot::rejected_total() const {
   return total;
 }
 
+bool StreamStatsSnapshot::ConservesSamples() const {
+  return ingested == scored + dropped + rejected_queue_full +
+                         rejected_timeout + rejected_closed +
+                         quarantined_samples;
+}
+
 StreamStatsSnapshot& StreamStatsSnapshot::operator+=(
     const StreamStatsSnapshot& other) {
   for (const CounterInfo& row : kCounters) this->*row.field += other.*row.field;

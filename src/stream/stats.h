@@ -116,6 +116,14 @@ struct StreamStatsSnapshot {
   /// Sum of the `rejected_*` rows.
   uint64_t rejected_total() const;
 
+  /// The sample conservation identity: every sample that passed router
+  /// validation (`ingested`) was scored, dropped by backpressure, refused
+  /// by its shard queue (full, timed out or closed) or withheld by
+  /// quarantine. Router-level rejects (non-finite, unknown sensor, level
+  /// mismatch, out of order) never reach `ingested`, so they take no part.
+  /// Exact in synchronous mode and after Stop(); survives operator+=.
+  bool ConservesSamples() const;
+
   /// Folds another engine's snapshot into this one (fleet roll-up).
   /// Every table row and the per-level / batch-histogram arrays add
   /// elementwise, so a conservation identity that holds for each operand

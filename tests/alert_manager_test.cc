@@ -130,6 +130,42 @@ TEST(AlertManager, IngestReportTakesAllFindings) {
   EXPECT_EQ(manager.findings_ingested(), 2u);
 }
 
+TEST(AlertManager, MovingBatchMatchesCopyingBatchAndEmptiesTheSource) {
+  std::vector<OutlierFinding> batch;
+  batch.push_back(MakeFinding("s1", 100.0, 0.9, 3, 1.0));
+  batch.push_back(MakeFinding("s2", 101.0, 0.4, 1, 0.0, true));
+  batch.push_back(MakeFinding("s1", 90.0, 0.7, 2, 1.0));  // late
+  batch[0].confirmed_levels = {hierarchy::ProductionLevel::kPhase};
+  AlertManager copied;
+  copied.IngestBatch(batch);
+  AlertManager moved;
+  std::vector<OutlierFinding> source = batch;
+  const size_t capacity = source.capacity();
+  moved.IngestBatch(std::move(source));
+  EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(source.capacity(), capacity) << "the buffer is reused";
+  ASSERT_EQ(moved.findings_ingested(), copied.findings_ingested());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(moved.Findings()[i].origin.entity,
+              copied.Findings()[i].origin.entity);
+    EXPECT_EQ(moved.Findings()[i].confirmed_levels,
+              copied.Findings()[i].confirmed_levels);
+  }
+  const auto same_board = [](const std::vector<AlertEpisode>& a,
+                             const std::vector<AlertEpisode>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].entity, b[i].entity);
+      EXPECT_EQ(a[i].start_time, b[i].start_time);
+      EXPECT_EQ(a[i].end_time, b[i].end_time);
+      EXPECT_EQ(a[i].finding_count, b[i].finding_count);
+      EXPECT_EQ(a[i].severity, b[i].severity);
+    }
+  };
+  same_board(moved.Episodes(), copied.Episodes());
+  same_board(moved.CalibrationQueue(), copied.CalibrationQueue());
+}
+
 // --- Episode-index oracle ---------------------------------------------
 
 /// The board as the manager computed it before it kept an episode index:

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -194,6 +198,383 @@ TEST(BocpdDetector, SurvivesExtremeValuesWithoutNonFiniteState) {
     (void)detector.Push(rng.Gaussian(0.0, 1.0));
     EXPECT_TRUE(std::isfinite(detector.shift_mass()));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the detector as it was before the log-gamma cache and the in-place
+// grow step — two LogGamma calls per bucket per sample and a second set of
+// bucket arrays for the grown posterior. Matched bit for bit below.
+
+double OracleLogGamma(double x) {
+#if defined(__GLIBC__) || defined(__APPLE__) || defined(_GNU_SOURCE)
+  int sign = 0;
+  return lgamma_r(x, &sign);
+#else
+  return std::lgamma(x);
+#endif
+}
+
+double OracleStudentTPdf(double x, double df, double mean, double scale) {
+  const double z = (x - mean) / scale;
+  const double log_pdf = OracleLogGamma((df + 1.0) * 0.5) -
+                         OracleLogGamma(df * 0.5) -
+                         0.5 * std::log(df * M_PI) - std::log(scale) -
+                         (df + 1.0) * 0.5 * std::log1p(z * z / df);
+  return std::exp(log_pdf);
+}
+
+class OracleBocpd {
+ public:
+  explicit OracleBocpd(BocpdOptions options) : options_(options) {
+    if (!(options_.hazard_lambda > 1.0)) options_.hazard_lambda = 250.0;
+    if (options_.max_run_length < 8) options_.max_run_length = 8;
+    if (options_.min_run_for_shift < 1) options_.min_run_for_shift = 1;
+    if (options_.min_run_for_shift >= options_.max_run_length) {
+      options_.min_run_for_shift = options_.max_run_length / 2;
+    }
+    if (!(options_.shift_posterior > 0.0 && options_.shift_posterior <= 1.0)) {
+      options_.shift_posterior = 0.8;
+    }
+    if (!Positive(options_.prior_kappa)) options_.prior_kappa = 1.0;
+    if (!Positive(options_.prior_alpha)) options_.prior_alpha = 1.0;
+    if (!Positive(options_.prior_beta)) options_.prior_beta = 1.0;
+  }
+
+  std::optional<BocpdShift> Push(double value) {
+    if (!std::isfinite(value)) return std::nullopt;
+    if (!prior_seeded_) {
+      prior_seeded_ = true;
+      prior_mean_ = value;
+      Rebase(prior_mean_, options_.prior_kappa, options_.prior_alpha,
+             options_.prior_beta, 0);
+    }
+    ++samples_seen_;
+    const double hazard = 1.0 / options_.hazard_lambda;
+    const size_t n = weight_.size();
+    std::vector<double> next_weight(n + 1, 0.0), next_mu(n + 1),
+        next_kappa(n + 1), next_alpha(n + 1), next_beta(n + 1);
+    std::vector<uint64_t> next_run_length(n + 1);
+    next_mu[0] = prior_mean_;
+    next_kappa[0] = options_.prior_kappa;
+    next_alpha[0] = options_.prior_alpha;
+    next_beta[0] = options_.prior_beta;
+    next_run_length[0] = 0;
+    double normalizer = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double scale = std::sqrt(
+          std::max(beta_[i] * (kappa_[i] + 1.0) / (alpha_[i] * kappa_[i]),
+                   kFloor * kFloor));
+      const double pred =
+          OracleStudentTPdf(value, 2.0 * alpha_[i], mu_[i], scale);
+      const double mass = weight_[i] * pred;
+      next_weight[i + 1] = mass * (1.0 - hazard);
+      next_mu[i + 1] = (kappa_[i] * mu_[i] + value) / (kappa_[i] + 1.0);
+      next_kappa[i + 1] = kappa_[i] + 1.0;
+      next_alpha[i + 1] = alpha_[i] + 0.5;
+      next_beta[i + 1] = beta_[i] + kappa_[i] * (value - mu_[i]) *
+                                        (value - mu_[i]) /
+                                        (2.0 * (kappa_[i] + 1.0));
+      next_run_length[i + 1] = run_length_[i] + 1;
+      next_weight[0] += mass * hazard;
+      normalizer += mass;
+    }
+    if (!(normalizer > 0.0) || !std::isfinite(normalizer)) {
+      Rebase(value, options_.prior_kappa, options_.prior_alpha,
+             options_.prior_beta, 0);
+      ++underflow_restarts_;
+    } else {
+      for (auto& w : next_weight) w /= normalizer;
+      while (next_weight.size() > options_.max_run_length) {
+        const size_t last = next_weight.size() - 1;
+        next_weight[last - 1] += next_weight[last];
+        next_mu[last - 1] = next_mu[last];
+        next_kappa[last - 1] = next_kappa[last];
+        next_alpha[last - 1] = next_alpha[last];
+        next_beta[last - 1] = next_beta[last];
+        next_run_length[last - 1] = next_run_length[last];
+        next_weight.pop_back();
+        next_mu.pop_back();
+        next_kappa.pop_back();
+        next_alpha.pop_back();
+        next_beta.pop_back();
+        next_run_length.pop_back();
+        ++merges_;
+      }
+      weight_.swap(next_weight);
+      mu_.swap(next_mu);
+      kappa_.swap(next_kappa);
+      alpha_.swap(next_alpha);
+      beta_.swap(next_beta);
+      run_length_.swap(next_run_length);
+    }
+
+    size_t map_idx = 0;
+    for (size_t i = 1; i < weight_.size(); ++i) {
+      if (weight_[i] > weight_[map_idx]) map_idx = i;
+    }
+    if (run_length_[map_idx] >= 2 * options_.min_run_for_shift) {
+      stable_mean_ = mu_[map_idx];
+      stable_sigma_ =
+          std::max(std::sqrt(beta_[map_idx] / alpha_[map_idx]), kFloor);
+      stable_support_ = run_length_[map_idx];
+    }
+    if (cooldown_left_ > 0) {
+      --cooldown_left_;
+      return std::nullopt;
+    }
+    if (samples_seen_ <= options_.warmup || stable_support_ == 0) {
+      return std::nullopt;
+    }
+    double recent_mass = 0.0;
+    size_t best_recent = 0;
+    bool have_recent = false;
+    for (size_t i = 0; i < weight_.size(); ++i) {
+      if (run_length_[i] <= options_.min_run_for_shift) {
+        recent_mass += weight_[i];
+        if (run_length_[i] >= 1 &&
+            (!have_recent || weight_[i] > weight_[best_recent])) {
+          best_recent = i;
+          have_recent = true;
+        }
+      }
+    }
+    if (recent_mass < options_.shift_posterior || !have_recent) {
+      return std::nullopt;
+    }
+    const double after_mean = mu_[best_recent];
+    const double after_sigma = std::max(
+        std::sqrt(beta_[best_recent] / alpha_[best_recent]), kFloor);
+    const double magnitude =
+        std::abs(after_mean - stable_mean_) / stable_sigma_;
+    if (magnitude < options_.min_magnitude_sigmas) {
+      cooldown_left_ = 1;
+      return std::nullopt;
+    }
+    BocpdShift confirmed;
+    confirmed.shift.index = static_cast<size_t>(samples_seen_);
+    confirmed.shift.time = 0.0;
+    confirmed.shift.before_mean = stable_mean_;
+    confirmed.shift.after_mean = after_mean;
+    confirmed.shift.magnitude_sigmas = magnitude;
+    confirmed.after_sigma = after_sigma;
+    confirmed.run_length = static_cast<size_t>(run_length_[best_recent]);
+    confirmed.evidence = recent_mass;
+    Rebase(mu_[best_recent], kappa_[best_recent], alpha_[best_recent],
+           beta_[best_recent], run_length_[best_recent]);
+    stable_mean_ = after_mean;
+    stable_sigma_ = after_sigma;
+    stable_support_ = run_length_[0];
+    cooldown_left_ = options_.cooldown;
+    return confirmed;
+  }
+
+  double shift_mass() const {
+    double mass = 0.0;
+    for (size_t i = 0; i < weight_.size(); ++i) {
+      if (run_length_[i] <= options_.min_run_for_shift) mass += weight_[i];
+    }
+    return mass;
+  }
+
+  /// The fields BocpdDetector::SaveState fills; shifts_confirmed is
+  /// counted by the caller (the oracle does not keep it).
+  BocpdState SaveState(uint64_t shifts_confirmed) const {
+    BocpdState state;
+    state.weight = weight_;
+    state.mu = mu_;
+    state.kappa = kappa_;
+    state.alpha = alpha_;
+    state.beta = beta_;
+    state.run_length = run_length_;
+    state.samples_seen = samples_seen_;
+    state.shifts_confirmed = shifts_confirmed;
+    state.cooldown_left = cooldown_left_;
+    state.prior_seeded = prior_seeded_;
+    state.prior_mean = prior_mean_;
+    state.stable_mean = stable_mean_;
+    state.stable_sigma = stable_sigma_;
+    state.stable_support = stable_support_;
+    return state;
+  }
+
+  /// Restores a state BocpdDetector::RestoreState accepts (the caller
+  /// checks that), with the same weight renormalization.
+  void RestoreState(const BocpdState& state) {
+    double sum = 0.0;
+    for (double w : state.weight) sum += w;
+    weight_ = state.weight;
+    for (auto& w : weight_) w /= (state.weight.empty() ? 1.0 : sum);
+    mu_ = state.mu;
+    kappa_ = state.kappa;
+    alpha_ = state.alpha;
+    beta_ = state.beta;
+    run_length_ = state.run_length;
+    samples_seen_ = state.samples_seen;
+    cooldown_left_ = state.cooldown_left;
+    prior_seeded_ = state.prior_seeded;
+    prior_mean_ = state.prior_mean;
+    stable_mean_ = state.stable_mean;
+    stable_sigma_ = std::max(state.stable_sigma, kFloor);
+    stable_support_ = state.stable_support;
+  }
+
+  size_t underflow_restarts() const { return underflow_restarts_; }
+  size_t merges() const { return merges_; }
+
+ private:
+  static constexpr double kFloor = 1e-9;
+  static bool Positive(double v) { return std::isfinite(v) && v > 0.0; }
+
+  void Rebase(double mean, double kappa, double alpha, double beta,
+              uint64_t run_length) {
+    weight_.assign(1, 1.0);
+    mu_.assign(1, mean);
+    kappa_.assign(1, kappa);
+    alpha_.assign(1, alpha);
+    beta_.assign(1, beta);
+    run_length_.assign(1, run_length);
+  }
+
+  BocpdOptions options_;
+  std::vector<double> weight_, mu_, kappa_, alpha_, beta_;
+  std::vector<uint64_t> run_length_;
+  uint64_t samples_seen_ = 0;
+  uint64_t cooldown_left_ = 0;
+  bool prior_seeded_ = false;
+  double prior_mean_ = 0.0;
+  double stable_mean_ = 0.0;
+  double stable_sigma_ = 1.0;
+  uint64_t stable_support_ = 0;
+  size_t underflow_restarts_ = 0;
+  size_t merges_ = 0;
+};
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+std::vector<uint64_t> AllBits(const std::vector<double>& values) {
+  std::vector<uint64_t> out;
+  out.reserve(values.size());
+  for (double v : values) out.push_back(Bits(v));
+  return out;
+}
+
+void ExpectSameShift(const std::optional<BocpdShift>& got,
+                     const std::optional<BocpdShift>& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!got.has_value()) return;
+  EXPECT_EQ(got->shift.index, want->shift.index) << where;
+  EXPECT_EQ(Bits(got->shift.time), Bits(want->shift.time)) << where;
+  EXPECT_EQ(Bits(got->shift.before_mean), Bits(want->shift.before_mean))
+      << where;
+  EXPECT_EQ(Bits(got->shift.after_mean), Bits(want->shift.after_mean))
+      << where;
+  EXPECT_EQ(Bits(got->shift.magnitude_sigmas),
+            Bits(want->shift.magnitude_sigmas))
+      << where;
+  EXPECT_EQ(Bits(got->after_sigma), Bits(want->after_sigma)) << where;
+  EXPECT_EQ(got->run_length, want->run_length) << where;
+  EXPECT_EQ(Bits(got->evidence), Bits(want->evidence)) << where;
+}
+
+void ExpectSameState(const BocpdState& got, const BocpdState& want,
+                     const std::string& where) {
+  EXPECT_EQ(AllBits(got.weight), AllBits(want.weight)) << where;
+  EXPECT_EQ(AllBits(got.mu), AllBits(want.mu)) << where;
+  EXPECT_EQ(AllBits(got.kappa), AllBits(want.kappa)) << where;
+  EXPECT_EQ(AllBits(got.alpha), AllBits(want.alpha)) << where;
+  EXPECT_EQ(AllBits(got.beta), AllBits(want.beta)) << where;
+  EXPECT_EQ(got.run_length, want.run_length) << where;
+  EXPECT_EQ(got.samples_seen, want.samples_seen) << where;
+  EXPECT_EQ(got.shifts_confirmed, want.shifts_confirmed) << where;
+  EXPECT_EQ(got.cooldown_left, want.cooldown_left) << where;
+  EXPECT_EQ(got.prior_seeded, want.prior_seeded) << where;
+  EXPECT_EQ(Bits(got.prior_mean), Bits(want.prior_mean)) << where;
+  EXPECT_EQ(Bits(got.stable_mean), Bits(want.stable_mean)) << where;
+  EXPECT_EQ(Bits(got.stable_sigma), Bits(want.stable_sigma)) << where;
+  EXPECT_EQ(got.stable_support, want.stable_support) << where;
+}
+
+/// 1,000 seeded sequences against the oracle: every Push's confirmed
+/// shift (all fields bit-identical), shift_mass() after every sample, and
+/// the final SaveState. Options vary the truncation bound (8–90 buckets,
+/// so the posterior merges its tail on most steps), the hazard, the gates
+/// and the prior; streams carry level steps large enough to confirm and
+/// rebase, sub-gate jitter, and 1e6 outliers that underflow every bucket
+/// and restart the posterior. Most sequences checkpoint mid-stream into a
+/// fresh detector that carries on from the saved state.
+TEST(BocpdDetector, MatchesUncachedOracleOn1000SeededSequences) {
+  size_t shifts = 0;
+  size_t restarts = 0;
+  size_t restores = 0;
+  size_t merges = 0;
+  for (uint64_t seed = 1; seed <= 1000; ++seed) {
+    Rng rng(seed);
+    BocpdOptions options;
+    options.max_run_length = 8 + rng.NextBelow(83);
+    options.hazard_lambda = rng.Uniform(20.0, 300.0);
+    options.warmup = rng.NextBelow(48);
+    options.min_run_for_shift = 1 + rng.NextBelow(12);
+    options.shift_posterior = rng.Uniform(0.5, 0.95);
+    options.min_magnitude_sigmas = rng.Uniform(1.0, 5.0);
+    options.cooldown = rng.NextBelow(80);
+    // A tight prior (large alpha, small beta) makes the fresh bucket's
+    // predictive light-tailed, so a 1e6 outlier underflows all of them.
+    options.prior_alpha = seed % 3 == 0 ? rng.Uniform(30.0, 80.0)
+                                        : rng.Uniform(0.5, 3.0);
+    options.prior_beta = rng.Uniform(0.01, 2.0);
+    options.prior_kappa = rng.Uniform(0.2, 3.0);
+    BocpdDetector detector(options);
+    OracleBocpd oracle(options);
+
+    const size_t steps = 150 + rng.NextBelow(350);
+    const size_t restore_at =
+        seed % 7 == 0 ? steps : rng.NextBelow(static_cast<uint64_t>(steps));
+    const double sigma = rng.Uniform(0.05, 2.0);
+    double level = rng.Uniform(-100.0, 100.0);
+    uint64_t oracle_shifts = 0;
+    for (size_t step = 0; step < steps; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      if (step == restore_at) {
+        const BocpdState state = oracle.SaveState(oracle_shifts);
+        ExpectSameState(detector.SaveState(), state, where + " save");
+        BocpdDetector restored(options);
+        ASSERT_TRUE(restored.RestoreState(state).ok()) << where;
+        detector = std::move(restored);
+        OracleBocpd fresh(options);
+        fresh.RestoreState(state);
+        merges += oracle.merges();
+        restarts += oracle.underflow_restarts();
+        oracle = std::move(fresh);
+        ++restores;
+      }
+      if (rng.NextBelow(90) == 0) level += rng.Uniform(-12.0, 12.0) * sigma;
+      double value = level + rng.Gaussian(0.0, sigma);
+      if (rng.NextBelow(150) == 0) value = level + 1e6;
+      if (rng.NextBelow(200) == 0) {
+        value = std::numeric_limits<double>::quiet_NaN();
+      }
+      const std::optional<BocpdShift> got = detector.Push(value);
+      const std::optional<BocpdShift> want = oracle.Push(value);
+      ExpectSameShift(got, want, where);
+      if (want.has_value()) ++oracle_shifts;
+      EXPECT_EQ(Bits(detector.shift_mass()), Bits(oracle.shift_mass()))
+          << where;
+      if (::testing::Test::HasFailure()) return;
+    }
+    ExpectSameState(detector.SaveState(), oracle.SaveState(oracle_shifts),
+                    "seed " + std::to_string(seed) + " end");
+    if (::testing::Test::HasFailure()) return;
+    shifts += oracle_shifts;
+    merges += oracle.merges();
+    restarts += oracle.underflow_restarts();
+  }
+  // The sweep must actually exercise every path it claims to cover.
+  EXPECT_GT(shifts, 1000u);
+  EXPECT_GT(restarts, 500u);
+  EXPECT_GT(restores, 800u);
+  EXPECT_GT(merges, 100000u);
 }
 
 }  // namespace

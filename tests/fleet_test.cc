@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -221,8 +225,43 @@ TEST(StreamStatsMerge, MergeOfExactSnapshotsPreservesConservation) {
   const stream::StreamStatsSnapshot b = run(7);
   const stream::StreamStatsSnapshot sum = a + b;
   EXPECT_EQ(sum.ingested, a.ingested + b.ingested);
-  EXPECT_EQ(sum.ingested, sum.scored + sum.dropped + sum.rejected_total() +
-                              sum.quarantined_samples);
+  EXPECT_TRUE(sum.ConservesSamples()) << sum.ToString();
+}
+
+TEST(StreamStatsMerge, ConservationHoldsWithRouterRejects) {
+  // Router rejects (non-finite, unknown sensor, out of order) never reach
+  // `ingested`; the identity must hold with them in the mix, in
+  // synchronous and in threaded mode alike.
+  for (const bool synchronous : {true, false}) {
+    stream::StreamEngineOptions options = SmallEngine();
+    options.synchronous = synchronous;
+    stream::StreamEngine engine(options);
+    ASSERT_TRUE(engine.AddSensor("s0", ProductionLevel::kPhase).ok());
+    ASSERT_TRUE(engine.AddSensor("s1", ProductionLevel::kPhase).ok());
+    ASSERT_TRUE(engine.Start().ok());
+    const std::vector<double> values = MakeStream(5, 400, 250, 8, 6.0);
+    for (size_t t = 0; t < values.size(); ++t) {
+      const double ts = static_cast<double>(t);
+      (void)engine.Ingest({"s0", ProductionLevel::kPhase, ts, values[t]});
+      double value = values[t];
+      if (t % 37 == 5) value = std::nan("");
+      (void)engine.Ingest({"s1", ProductionLevel::kPhase, ts, value});
+      if (t % 53 == 7) {
+        (void)engine.Ingest({"ghost", ProductionLevel::kPhase, ts, 1.0});
+      }
+      if (t % 41 == 9 && t > 20) {
+        (void)engine.Ingest({"s0", ProductionLevel::kPhase, ts - 20.0, 55.0});
+      }
+    }
+    ASSERT_TRUE(engine.Flush().ok());
+    ASSERT_TRUE(engine.Stop().ok());
+    const stream::StreamStatsSnapshot stats = engine.stats();
+    const std::string mode = synchronous ? "sync" : "threaded";
+    EXPECT_GT(stats.rejected_non_finite, 0u) << mode;
+    EXPECT_GT(stats.rejected_unknown_sensor, 0u) << mode;
+    EXPECT_GT(stats.rejected_out_of_order, 0u) << mode;
+    EXPECT_TRUE(stats.ConservesSamples()) << mode << "\n" << stats.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -276,10 +315,147 @@ TEST(PooledEngine, MatchesLegacyThreadedEngineExactly) {
               legacy_levels[i].outlier_samples);
   }
   // Conservation holds in pooled mode too.
-  EXPECT_EQ(pooled_stats.ingested,
-            pooled_stats.scored + pooled_stats.dropped +
-                pooled_stats.rejected_total() +
-                pooled_stats.quarantined_samples);
+  EXPECT_TRUE(pooled_stats.ConservesSamples()) << pooled_stats.ToString();
+}
+
+/// Everything a pooled engine must reproduce from a synchronous one.
+struct LayerOutcome {
+  stream::StreamStatsSnapshot stats;
+  std::vector<stream::PeerDeviation> deviations;
+  std::array<stream::LevelOutlierState, hierarchy::kNumLevels> levels{};
+};
+
+void ExpectSameOutcome(const LayerOutcome& got, const LayerOutcome& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.stats.ingested, want.stats.ingested) << where;
+  EXPECT_EQ(got.stats.scored, want.stats.scored) << where;
+  EXPECT_EQ(got.stats.alarms_raised, want.stats.alarms_raised) << where;
+  EXPECT_EQ(got.stats.alarms_cleared, want.stats.alarms_cleared) << where;
+  EXPECT_EQ(got.stats.concept_shifts, want.stats.concept_shifts) << where;
+  EXPECT_EQ(got.stats.baseline_resets, want.stats.baseline_resets) << where;
+  EXPECT_EQ(got.stats.peer_deviations, want.stats.peer_deviations) << where;
+  ASSERT_EQ(got.deviations.size(), want.deviations.size()) << where;
+  for (size_t i = 0; i < got.deviations.size(); ++i) {
+    const stream::PeerDeviation& a = got.deviations[i];
+    const stream::PeerDeviation& b = want.deviations[i];
+    EXPECT_EQ(a.sensor_id, b.sensor_id) << where;
+    EXPECT_EQ(a.group_id, b.group_id) << where;
+    EXPECT_EQ(a.ts, b.ts) << where;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.residual),
+              std::bit_cast<uint64_t>(b.residual)) << where;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.value_z),
+              std::bit_cast<uint64_t>(b.value_z)) << where;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.slope_z),
+              std::bit_cast<uint64_t>(b.slope_z)) << where;
+  }
+  for (int i = 0; i < hierarchy::kNumLevels; ++i) {
+    const stream::LevelOutlierState& a = got.levels[i];
+    const stream::LevelOutlierState& b = want.levels[i];
+    const std::string at = where + " level " + std::to_string(i);
+    EXPECT_EQ(a.outlier_samples, b.outlier_samples) << at;
+    EXPECT_EQ(a.alarms_raised, b.alarms_raised) << at;
+    EXPECT_EQ(a.alarms_cleared, b.alarms_cleared) << at;
+    EXPECT_EQ(a.active_alarms, b.active_alarms) << at;
+    EXPECT_EQ(a.sensor_faults, b.sensor_faults) << at;
+    EXPECT_EQ(a.quarantined_sensors, b.quarantined_sensors) << at;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.peak_score),
+              std::bit_cast<uint64_t>(b.peak_score)) << at;
+    EXPECT_EQ(a.last_outlier_ts, b.last_outlier_ts) << at;
+  }
+}
+
+TEST(PooledEngine, ShiftAndPeerLayersMatchSynchronousEngine) {
+  // Several engines with BOCPD and a peer group share one 2-worker pool,
+  // so every lane's detector and every peer member is scored on whichever
+  // worker runs its shard's drain task, hopping between the workers'
+  // per-thread scratch. Each pooled engine holds one sample in flight
+  // (Flush after every Ingest): peers then read the same last values as
+  // in a synchronous engine, and the outcome must match one exactly.
+  constexpr size_t kEngines = 4;
+  constexpr size_t kTicks = 360;
+  const std::vector<std::string> ids = {"bed.a", "bed.b", "bed.c"};
+  const auto options_for = [](util::ThreadPool* pool) {
+    stream::StreamEngineOptions options = SmallEngine();
+    options.synchronous = pool == nullptr;
+    options.executor = pool;
+    options.shift.enabled = true;
+    options.peer.warmup = 8;
+    options.peer.deviation_after = 3;
+    options.health.staleness_timeout = 0.0;
+    return options;
+  };
+  // Engine e: common-mode wander on every member, a level step on member
+  // 0 (confirms a shift) and a gain drift on member 1 (leaves the band).
+  std::vector<std::vector<stream::SensorSample>> streams(kEngines);
+  for (size_t e = 0; e < kEngines; ++e) {
+    Rng rng(100 + e);
+    double wander = 0.0;
+    for (size_t t = 0; t < kTicks; ++t) {
+      wander = 0.95 * wander + rng.Gaussian(0.0, 0.05);
+      for (size_t m = 0; m < ids.size(); ++m) {
+        double value = 40.0 + wander + rng.Gaussian(0.0, 0.1);
+        if (m == 0 && t >= 150 + 20 * e) value += 4.0;
+        if (m == 1 && t >= 220) {
+          value *= 1.0 + 0.0005 * static_cast<double>(e + 1) *
+                             static_cast<double>(t - 220);
+        }
+        streams[e].push_back({ids[m], ProductionLevel::kPhase,
+                              static_cast<double>(t), value});
+      }
+    }
+  }
+  const auto make_engine = [&](util::ThreadPool* pool) {
+    auto engine = std::make_unique<stream::StreamEngine>(options_for(pool));
+    for (const std::string& id : ids) {
+      EXPECT_TRUE(engine->AddSensor(id, ProductionLevel::kPhase).ok());
+    }
+    EXPECT_TRUE(engine->AddPeerGroup("bed", ids).ok());
+    EXPECT_TRUE(engine->Start().ok());
+    return engine;
+  };
+  const auto outcome_of = [](stream::StreamEngine& engine) {
+    EXPECT_TRUE(engine.Flush().ok());
+    EXPECT_TRUE(engine.Stop().ok());
+    LayerOutcome outcome;
+    outcome.stats = engine.stats();
+    outcome.deviations = engine.PeerDeviations();
+    outcome.levels = engine.Snapshot().levels;
+    return outcome;
+  };
+
+  util::ThreadPool pool(util::ThreadPoolOptions{2, 1});
+  std::vector<std::unique_ptr<stream::StreamEngine>> pooled;
+  for (size_t e = 0; e < kEngines; ++e) pooled.push_back(make_engine(&pool));
+  std::vector<std::thread> producers;
+  for (size_t e = 0; e < kEngines; ++e) {
+    producers.emplace_back([&, e] {
+      for (const stream::SensorSample& sample : streams[e]) {
+        EXPECT_TRUE(pooled[e]->Ingest(sample).ok());
+        EXPECT_TRUE(pooled[e]->Flush().ok());
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+
+  uint64_t shifts = 0;
+  uint64_t deviations = 0;
+  uint64_t alarms = 0;
+  for (size_t e = 0; e < kEngines; ++e) {
+    std::unique_ptr<stream::StreamEngine> sync = make_engine(nullptr);
+    for (const stream::SensorSample& sample : streams[e]) {
+      EXPECT_TRUE(sync->Ingest(sample).ok());
+    }
+    const LayerOutcome want = outcome_of(*sync);
+    const LayerOutcome got = outcome_of(*pooled[e]);
+    ExpectSameOutcome(got, want, "engine " + std::to_string(e));
+    shifts += want.stats.concept_shifts;
+    deviations += want.stats.peer_deviations;
+    alarms += want.stats.alarms_raised;
+  }
+  // Both layers must actually fire for the comparison to mean anything.
+  EXPECT_GE(shifts, kEngines);
+  EXPECT_GE(deviations, kEngines);
+  EXPECT_GE(alarms, 1u);
 }
 
 TEST(PooledEngine, ManyEnginesShareOnePoolConcurrently) {

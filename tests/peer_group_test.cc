@@ -241,6 +241,10 @@ class OraclePeerMonitor {
     return strongest;
   }
 
+  size_t scored_at_even_size() const { return scored_at_size_parity_[0]; }
+  size_t scored_at_odd_size() const { return scored_at_size_parity_[1]; }
+  size_t duplicate_evictions() const { return duplicate_evictions_; }
+
   std::vector<PeerGroupState> SaveState() const {
     std::vector<PeerGroupState> out;
     for (const auto& [group_id, group] : groups_) {
@@ -305,6 +309,7 @@ class OraclePeerMonitor {
 
     std::optional<PeerDeviation> fired;
     if (self.ring_residual.size() >= options_.warmup) {
+      ++scored_at_size_parity_[self.ring_residual.size() % 2];
       std::vector<double> ring(self.ring_residual.begin(),
                                self.ring_residual.end());
       const double med = OracleMedian(ring);
@@ -376,6 +381,10 @@ class OraclePeerMonitor {
     self.ring_ts.push_back(ts);
     self.ring_residual.push_back(residual);
     while (self.ring_residual.size() > options_.window) {
+      if (std::count(self.ring_residual.begin(), self.ring_residual.end(),
+                     self.ring_residual.front()) > 1) {
+        ++duplicate_evictions_;
+      }
       self.ring_ts.pop_front();
       self.ring_residual.pop_front();
     }
@@ -383,6 +392,10 @@ class OraclePeerMonitor {
   }
 
   PeerGroupOptions options_;
+  /// Coverage: scored rings of even [0] and odd [1] size, and evictions
+  /// of a residual that is still present later in the ring.
+  size_t scored_at_size_parity_[2] = {0, 0};
+  size_t duplicate_evictions_ = 0;
   std::map<std::string, Group> groups_;
   std::map<std::string, std::vector<std::pair<std::string, size_t>>> index_;
 };
@@ -551,6 +564,89 @@ TEST(PeerGroupMonitor, MatchesAllocatingOracleOn1000SeededSequences) {
   EXPECT_GT(fires, 1000u);
   EXPECT_GT(restores, 700u);
   EXPECT_GT(stale_gaps, 1000u);
+}
+
+/// The same oracle at the default window of 64, where the live ring spends
+/// most of its time full. Warm-up crosses every size from `warmup` to 64,
+/// so both parities of the median/MAD walk are scored, and sequences with
+/// an odd-sized ring at steady state (window 63) keep the odd walk busy.
+/// Values on a coarse grid make exact residual ties common, so the evicted
+/// residual often has a duplicate still in the ring. Half the sequences
+/// checkpoint mid-stream into a fresh monitor restored from the oracle.
+TEST(PeerGroupMonitor, MatchesAllocatingOracleAtDefaultWindow) {
+  size_t fires = 0;
+  size_t restores = 0;
+  size_t odd_scored = 0;
+  size_t even_scored = 0;
+  size_t duplicate_evictions = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    PeerGroupOptions options;  // window 64, warmup 16
+    if (seed % 4 == 3) options.window = 63;
+    if (seed % 3 == 0) options.warmup = 1 + rng.NextBelow(options.window);
+    options.deviation_z = rng.Uniform(2.0, 6.0);
+    options.slope_z = rng.Uniform(2.0, 5.0);
+    options.deviation_after = 1 + rng.NextBelow(3);
+    options.rearm_streak = 1 + rng.NextBelow(40);
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        groups = {{"pair", {"a", "b"}}, {"trio", {"b", "c", "d"}}};
+    const std::vector<std::string> sensors = {"a", "b", "c", "d"};
+    const auto make_monitor = [&] {
+      auto monitor = std::make_unique<PeerGroupMonitor>(options);
+      for (const auto& [id, members] : groups) {
+        EXPECT_TRUE(monitor->AddGroup(id, members).ok());
+      }
+      return monitor;
+    };
+    std::unique_ptr<PeerGroupMonitor> monitor = make_monitor();
+    OraclePeerMonitor oracle(options);
+    for (const auto& [id, members] : groups) oracle.AddGroup(id, members);
+
+    const size_t steps = 600 + rng.NextBelow(600);
+    const size_t restore_at =
+        seed % 2 == 0 ? steps : rng.NextBelow(static_cast<uint64_t>(steps));
+    // Grid step for exact ties; 0 leaves the values continuous.
+    const double grid = seed % 5 == 0 ? 0.0 : 0.05;
+    const size_t drifter = rng.NextBelow(sensors.size());
+    double ts = 0.0;
+    for (size_t step = 0; step < steps; ++step) {
+      if (step == restore_at) {
+        std::unique_ptr<PeerGroupMonitor> restored = make_monitor();
+        ASSERT_TRUE(restored->RestoreState(oracle.SaveState()).ok());
+        monitor = std::move(restored);
+        ++restores;
+      }
+      const size_t who = rng.NextBelow(sensors.size());
+      ts += rng.Uniform(0.0, 1.0);
+      double value = 10.0 + rng.Gaussian(0.0, 0.1);
+      if (who == drifter && step > steps / 2) {
+        value += 0.002 * static_cast<double>(step - steps / 2);
+      }
+      if (rng.NextBelow(50) == 0) value += rng.Uniform(-2.0, 2.0);
+      if (grid > 0.0) value = grid * std::round(value / grid);
+      const std::optional<PeerDeviation> got = monitor->Observe(
+          sensors[who], ProductionLevel::kPhase, ts, value);
+      const std::optional<PeerDeviation> want =
+          oracle.Observe(sensors[who], ProductionLevel::kPhase, ts, value);
+      ExpectSameDeviation(got, want,
+                          "seed " + std::to_string(seed) + " step " +
+                              std::to_string(step));
+      if (got.has_value()) ++fires;
+      if (::testing::Test::HasFailure()) return;
+    }
+    ExpectSameState(monitor->SaveState(), oracle.SaveState(),
+                    "seed " + std::to_string(seed) + " end");
+    if (::testing::Test::HasFailure()) return;
+    odd_scored += oracle.scored_at_odd_size();
+    even_scored += oracle.scored_at_even_size();
+    duplicate_evictions += oracle.duplicate_evictions();
+  }
+  // The sweep must exercise both walk parities and duplicate evictions.
+  EXPECT_GT(fires, 500u);
+  EXPECT_EQ(restores, 100u);
+  EXPECT_GT(odd_scored, 30000u);
+  EXPECT_GT(even_scored, 30000u);
+  EXPECT_GT(duplicate_evictions, 30000u);
 }
 
 // ---------------------------------------------------------------------------
