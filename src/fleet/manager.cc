@@ -145,16 +145,28 @@ Status FleetManager::RestorePlant(const std::string& plant_id) {
   if (router_.Resolve(plant_id) != nullptr) {
     return Status::InvalidArgument("plant already routed: " + plant_id);
   }
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return Status::NotFound("no checkpoint for plant: " + path);
+  std::string image;
+  {
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
+    if (!is) {
+      return Status::NotFound("no checkpoint for plant: " + path);
+    }
+    // One read of the whole image; the engine parses the span.
+    const std::streamoff size = is.tellg();
+    if (size < 0) return Status::InvalidArgument("cannot size: " + path);
+    image.resize(static_cast<size_t>(size));
+    is.seekg(0);
+    if (!is.read(image.data(), size)) {
+      return Status::InvalidArgument("cannot read checkpoint: " + path);
+    }
   }
   auto handle = std::make_shared<PlantHandle>();
   handle->plant_id = plant_id;
   handle->placement = router_.Place(plant_id);
   HOD_ASSIGN_OR_RETURN(
       handle->engine,
-      stream::StreamEngine::Restore(is, BuildEngineOptions(plant_id)));
+      stream::StreamEngine::Restore(std::move(image),
+                                    BuildEngineOptions(plant_id)));
   board_.ForgetPlant(plant_id);
   return router_.Add(plant_id, std::move(handle));
 }

@@ -1,9 +1,12 @@
 #include "hierarchy/serialization.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace hod::hierarchy {
@@ -278,88 +281,178 @@ namespace bin {
 
 namespace {
 
-void PutBytes(std::ostream& os, const unsigned char* bytes, size_t n) {
-  os.write(reinterpret_cast<const char*>(bytes), static_cast<std::streamsize>(n));
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
+template <typename T>
+void AppendLE(std::string& buffer, T value) {
+  static_assert(std::is_unsigned_v<T>);
+  char bytes[sizeof(T)];
+  if constexpr (kLittleEndian) {
+    std::memcpy(bytes, &value, sizeof(T));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
+    }
+  }
+  buffer.append(bytes, sizeof(T));
 }
 
-Status GetBytes(std::istream& is, unsigned char* bytes, size_t n) {
-  is.read(reinterpret_cast<char*>(bytes), static_cast<std::streamsize>(n));
-  if (static_cast<size_t>(is.gcount()) != n) {
-    return Status::OutOfRange("truncated binary stream");
+template <typename T>
+T LoadLE(const char* bytes) {
+  static_assert(std::is_unsigned_v<T>);
+  T value = 0;
+  if constexpr (kLittleEndian) {
+    std::memcpy(&value, bytes, sizeof(T));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      value |= static_cast<T>(static_cast<unsigned char>(bytes[i])) << (8 * i);
+    }
+  }
+  return value;
+}
+
+/// u32 count, then every 8-byte value: one block copy on a little-endian
+/// host, one loop without per-element checks elsewhere.
+template <typename T>
+void AppendVector(std::string& buffer, const std::vector<T>& values) {
+  static_assert(sizeof(T) == sizeof(uint64_t));
+  AppendLE(buffer, static_cast<uint32_t>(values.size()));
+  if (values.empty()) return;
+  if constexpr (kLittleEndian) {
+    buffer.append(reinterpret_cast<const char*>(values.data()),
+                  values.size() * sizeof(T));
+  } else {
+    for (T value : values) AppendLE(buffer, std::bit_cast<uint64_t>(value));
+  }
+}
+
+template <typename T>
+void LoadVector(const char* bytes, size_t count, std::vector<T>& values) {
+  static_assert(sizeof(T) == sizeof(uint64_t));
+  values.resize(count);
+  if (count == 0) return;
+  if constexpr (kLittleEndian) {
+    std::memcpy(values.data(), bytes, count * sizeof(T));
+  } else {
+    for (size_t i = 0; i < count; ++i) {
+      values[i] = std::bit_cast<T>(LoadLE<uint64_t>(bytes + i * sizeof(T)));
+    }
+  }
+}
+
+Status Truncated() { return Status::OutOfRange("truncated binary stream"); }
+
+}  // namespace
+
+void ByteWriter::WriteU32(uint32_t value) { AppendLE(buffer_, value); }
+
+void ByteWriter::WriteU64(uint64_t value) { AppendLE(buffer_, value); }
+
+void ByteWriter::WriteF64(double value) {
+  AppendLE(buffer_, std::bit_cast<uint64_t>(value));
+}
+
+void ByteWriter::WriteString(std::string_view value) {
+  WriteU32(static_cast<uint32_t>(value.size()));
+  buffer_.append(value.data(), value.size());
+}
+
+void ByteWriter::WriteF64Vector(const std::vector<double>& values) {
+  AppendVector(buffer_, values);
+}
+
+void ByteWriter::WriteU64Vector(const std::vector<uint64_t>& values) {
+  AppendVector(buffer_, values);
+}
+
+const char* ByteReader::Take(size_t n) {
+  if (n > remaining()) return nullptr;
+  const char* at = bytes_.data() + pos_;
+  pos_ += n;
+  return at;
+}
+
+StatusOr<uint8_t> ByteReader::ReadU8() {
+  const char* at = Take(1);
+  if (at == nullptr) return Truncated();
+  return static_cast<uint8_t>(*at);
+}
+
+StatusOr<uint32_t> ByteReader::ReadU32() {
+  const char* at = Take(4);
+  if (at == nullptr) return Truncated();
+  return LoadLE<uint32_t>(at);
+}
+
+StatusOr<uint64_t> ByteReader::ReadU64() {
+  const char* at = Take(8);
+  if (at == nullptr) return Truncated();
+  return LoadLE<uint64_t>(at);
+}
+
+StatusOr<double> ByteReader::ReadF64() {
+  const char* at = Take(8);
+  if (at == nullptr) return Truncated();
+  return std::bit_cast<double>(LoadLE<uint64_t>(at));
+}
+
+StatusOr<bool> ByteReader::ReadBool() {
+  HOD_ASSIGN_OR_RETURN(uint8_t value, ReadU8());
+  if (value > 1) return Status::InvalidArgument("bad bool byte");
+  return value == 1;
+}
+
+StatusOr<std::string> ByteReader::ReadString(size_t max_length) {
+  HOD_ASSIGN_OR_RETURN(uint32_t length, ReadU32());
+  if (length > max_length) {
+    return Status::OutOfRange("binary string length exceeds limit");
+  }
+  const char* at = Take(length);
+  if (at == nullptr) return Truncated();
+  return std::string(at, length);
+}
+
+Status ByteReader::ReadF64Vector(std::vector<double>& values) {
+  HOD_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
+  HOD_RETURN_IF_ERROR(CheckCount(count, sizeof(double), "vector length"));
+  LoadVector(Take(count * sizeof(double)), count, values);
+  return Status::Ok();
+}
+
+Status ByteReader::ReadU64Vector(std::vector<uint64_t>& values) {
+  HOD_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
+  HOD_RETURN_IF_ERROR(CheckCount(count, sizeof(uint64_t), "vector length"));
+  LoadVector(Take(count * sizeof(uint64_t)), count, values);
+  return Status::Ok();
+}
+
+Status ByteReader::CheckCount(uint64_t count, size_t min_record_bytes,
+                              const char* what) const {
+  if (count > remaining() / std::max<size_t>(min_record_bytes, 1)) {
+    return Status::InvalidArgument(std::string("implausible ") + what);
   }
   return Status::Ok();
 }
 
-}  // namespace
-
-void WriteU8(std::ostream& os, uint8_t value) { PutBytes(os, &value, 1); }
-
-void WriteU32(std::ostream& os, uint32_t value) {
-  unsigned char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = (value >> (8 * i)) & 0xff;
-  PutBytes(os, bytes, 4);
-}
-
-void WriteU64(std::ostream& os, uint64_t value) {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = (value >> (8 * i)) & 0xff;
-  PutBytes(os, bytes, 8);
-}
-
-void WriteF64(std::ostream& os, double value) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  WriteU64(os, bits);
-}
-
-void WriteString(std::ostream& os, const std::string& value) {
-  WriteU32(os, static_cast<uint32_t>(value.size()));
-  os.write(value.data(), static_cast<std::streamsize>(value.size()));
-}
-
-StatusOr<uint8_t> ReadU8(std::istream& is) {
-  unsigned char byte;
-  HOD_RETURN_IF_ERROR(GetBytes(is, &byte, 1));
-  return static_cast<uint8_t>(byte);
-}
-
-StatusOr<uint32_t> ReadU32(std::istream& is) {
-  unsigned char bytes[4];
-  HOD_RETURN_IF_ERROR(GetBytes(is, bytes, 4));
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) value |= static_cast<uint32_t>(bytes[i]) << (8 * i);
-  return value;
-}
-
-StatusOr<uint64_t> ReadU64(std::istream& is) {
-  unsigned char bytes[8];
-  HOD_RETURN_IF_ERROR(GetBytes(is, bytes, 8));
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) value |= static_cast<uint64_t>(bytes[i]) << (8 * i);
-  return value;
-}
-
-StatusOr<double> ReadF64(std::istream& is) {
-  HOD_ASSIGN_OR_RETURN(uint64_t bits, ReadU64(is));
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-StatusOr<std::string> ReadString(std::istream& is, size_t max_length) {
-  HOD_ASSIGN_OR_RETURN(uint32_t length, ReadU32(is));
-  if (length > max_length) {
-    return Status::OutOfRange("binary string length exceeds limit");
-  }
-  std::string value(length, '\0');
-  if (length > 0) {
-    is.read(value.data(), static_cast<std::streamsize>(length));
-    if (static_cast<size_t>(is.gcount()) != length) {
-      return Status::OutOfRange("truncated binary stream");
+std::string ReadToEnd(std::istream& is) {
+  std::string bytes;
+  // Size seekable streams up front so the common case is one read.
+  const std::istream::pos_type start = is.tellg();
+  if (start != std::istream::pos_type(-1) && is.seekg(0, std::ios::end)) {
+    const std::istream::pos_type end = is.tellg();
+    is.seekg(start);
+    if (end != std::istream::pos_type(-1) && end > start) {
+      bytes.resize(static_cast<size_t>(end - start));
+      is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      bytes.resize(static_cast<size_t>(is.gcount()));
     }
   }
-  return value;
+  is.clear(is.rdstate() & ~std::ios::failbit);
+  char chunk[1 << 14];
+  while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0) {
+    bytes.append(chunk, static_cast<size_t>(is.gcount()));
+  }
+  return bytes;
 }
 
 }  // namespace bin

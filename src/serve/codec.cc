@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <sstream>
+#include <istream>
+#include <ostream>
 #include <utility>
 
 #include "hierarchy/level.h"
@@ -96,64 +97,70 @@ void ApplyById(std::vector<T>& entries, const std::vector<T>& upserts,
   }
 }
 
-void WriteLevelState(std::ostream& os, const stream::LevelOutlierState& s) {
-  bin::WriteU64(os, s.outlier_samples);
-  bin::WriteU64(os, s.alarms_raised);
-  bin::WriteU64(os, s.alarms_cleared);
-  bin::WriteU64(os, s.active_alarms);
-  bin::WriteU64(os, s.sensor_faults);
-  bin::WriteU64(os, s.quarantined_sensors);
-  bin::WriteF64(os, s.peak_score);
-  bin::WriteF64(os, s.last_outlier_ts);
+// Minimum encoded size of each counted record (empty strings): a count
+// the bytes left cannot hold is refused before anything is reserved.
+constexpr size_t kMinAlarmBytes = 4 + 1 + 8 + 8;
+constexpr size_t kMinQuarantineBytes = 4 + 1 + 8 + 1;
+constexpr size_t kMinShiftBytes = 4 + 1 + 5 * 8 + 8;
+
+void WriteLevelState(bin::ByteWriter& out, const stream::LevelOutlierState& s) {
+  out.WriteU64(s.outlier_samples);
+  out.WriteU64(s.alarms_raised);
+  out.WriteU64(s.alarms_cleared);
+  out.WriteU64(s.active_alarms);
+  out.WriteU64(s.sensor_faults);
+  out.WriteU64(s.quarantined_sensors);
+  out.WriteF64(s.peak_score);
+  out.WriteF64(s.last_outlier_ts);
 }
 
-StatusOr<stream::LevelOutlierState> ReadLevelState(std::istream& is) {
+StatusOr<stream::LevelOutlierState> ReadLevelState(bin::ByteReader& in) {
   stream::LevelOutlierState s;
-  HOD_ASSIGN_OR_RETURN(s.outlier_samples, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(s.alarms_raised, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(s.alarms_cleared, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(s.active_alarms, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(s.sensor_faults, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(s.quarantined_sensors, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(s.peak_score, bin::ReadF64(is));
-  HOD_ASSIGN_OR_RETURN(s.last_outlier_ts, bin::ReadF64(is));
+  HOD_ASSIGN_OR_RETURN(s.outlier_samples, in.ReadU64());
+  HOD_ASSIGN_OR_RETURN(s.alarms_raised, in.ReadU64());
+  HOD_ASSIGN_OR_RETURN(s.alarms_cleared, in.ReadU64());
+  HOD_ASSIGN_OR_RETURN(s.active_alarms, in.ReadU64());
+  HOD_ASSIGN_OR_RETURN(s.sensor_faults, in.ReadU64());
+  HOD_ASSIGN_OR_RETURN(s.quarantined_sensors, in.ReadU64());
+  HOD_ASSIGN_OR_RETURN(s.peak_score, in.ReadF64());
+  HOD_ASSIGN_OR_RETURN(s.last_outlier_ts, in.ReadF64());
   return s;
 }
 
-void WriteAlarm(std::ostream& os, const stream::ActiveAlarm& a) {
-  bin::WriteString(os, a.sensor_id);
-  bin::WriteU8(os, static_cast<uint8_t>(hierarchy::LevelValue(a.level)));
-  bin::WriteF64(os, a.since);
-  bin::WriteF64(os, a.peak_score);
+void WriteAlarm(bin::ByteWriter& out, const stream::ActiveAlarm& a) {
+  out.WriteString(a.sensor_id);
+  out.WriteU8(static_cast<uint8_t>(hierarchy::LevelValue(a.level)));
+  out.WriteF64(a.since);
+  out.WriteF64(a.peak_score);
 }
 
-StatusOr<stream::ActiveAlarm> ReadAlarm(std::istream& is) {
+StatusOr<stream::ActiveAlarm> ReadAlarm(bin::ByteReader& in) {
   stream::ActiveAlarm a;
-  HOD_ASSIGN_OR_RETURN(a.sensor_id, bin::ReadString(is));
+  HOD_ASSIGN_OR_RETURN(a.sensor_id, in.ReadString());
   uint8_t level = 0;
-  HOD_ASSIGN_OR_RETURN(level, bin::ReadU8(is));
+  HOD_ASSIGN_OR_RETURN(level, in.ReadU8());
   HOD_ASSIGN_OR_RETURN(a.level, hierarchy::LevelFromValue(level));
-  HOD_ASSIGN_OR_RETURN(a.since, bin::ReadF64(is));
-  HOD_ASSIGN_OR_RETURN(a.peak_score, bin::ReadF64(is));
+  HOD_ASSIGN_OR_RETURN(a.since, in.ReadF64());
+  HOD_ASSIGN_OR_RETURN(a.peak_score, in.ReadF64());
   return a;
 }
 
-void WriteQuarantine(std::ostream& os, const stream::QuarantinedSensor& q) {
-  bin::WriteString(os, q.sensor_id);
-  bin::WriteU8(os, static_cast<uint8_t>(hierarchy::LevelValue(q.level)));
-  bin::WriteF64(os, q.since);
-  bin::WriteU8(os, static_cast<uint8_t>(q.reason));
+void WriteQuarantine(bin::ByteWriter& out, const stream::QuarantinedSensor& q) {
+  out.WriteString(q.sensor_id);
+  out.WriteU8(static_cast<uint8_t>(hierarchy::LevelValue(q.level)));
+  out.WriteF64(q.since);
+  out.WriteU8(static_cast<uint8_t>(q.reason));
 }
 
-StatusOr<stream::QuarantinedSensor> ReadQuarantine(std::istream& is) {
+StatusOr<stream::QuarantinedSensor> ReadQuarantine(bin::ByteReader& in) {
   stream::QuarantinedSensor q;
-  HOD_ASSIGN_OR_RETURN(q.sensor_id, bin::ReadString(is));
+  HOD_ASSIGN_OR_RETURN(q.sensor_id, in.ReadString());
   uint8_t level = 0;
-  HOD_ASSIGN_OR_RETURN(level, bin::ReadU8(is));
+  HOD_ASSIGN_OR_RETURN(level, in.ReadU8());
   HOD_ASSIGN_OR_RETURN(q.level, hierarchy::LevelFromValue(level));
-  HOD_ASSIGN_OR_RETURN(q.since, bin::ReadF64(is));
+  HOD_ASSIGN_OR_RETURN(q.since, in.ReadF64());
   uint8_t reason = 0;
-  HOD_ASSIGN_OR_RETURN(reason, bin::ReadU8(is));
+  HOD_ASSIGN_OR_RETURN(reason, in.ReadU8());
   if (reason > static_cast<uint8_t>(stream::HealthSignal::kStale)) {
     return Status::InvalidArgument("bad health signal byte");
   }
@@ -161,29 +168,29 @@ StatusOr<stream::QuarantinedSensor> ReadQuarantine(std::istream& is) {
   return q;
 }
 
-void WriteShift(std::ostream& os, const stream::ConceptShiftEvent& e) {
-  bin::WriteString(os, e.sensor_id);
-  bin::WriteU8(os, static_cast<uint8_t>(hierarchy::LevelValue(e.level)));
-  bin::WriteF64(os, e.ts);
-  bin::WriteF64(os, e.before_mean);
-  bin::WriteF64(os, e.after_mean);
-  bin::WriteF64(os, e.magnitude_sigmas);
-  bin::WriteF64(os, e.evidence);
-  bin::WriteU64(os, e.run_length);
+void WriteShift(bin::ByteWriter& out, const stream::ConceptShiftEvent& e) {
+  out.WriteString(e.sensor_id);
+  out.WriteU8(static_cast<uint8_t>(hierarchy::LevelValue(e.level)));
+  out.WriteF64(e.ts);
+  out.WriteF64(e.before_mean);
+  out.WriteF64(e.after_mean);
+  out.WriteF64(e.magnitude_sigmas);
+  out.WriteF64(e.evidence);
+  out.WriteU64(e.run_length);
 }
 
-StatusOr<stream::ConceptShiftEvent> ReadShift(std::istream& is) {
+StatusOr<stream::ConceptShiftEvent> ReadShift(bin::ByteReader& in) {
   stream::ConceptShiftEvent e;
-  HOD_ASSIGN_OR_RETURN(e.sensor_id, bin::ReadString(is));
+  HOD_ASSIGN_OR_RETURN(e.sensor_id, in.ReadString());
   uint8_t level = 0;
-  HOD_ASSIGN_OR_RETURN(level, bin::ReadU8(is));
+  HOD_ASSIGN_OR_RETURN(level, in.ReadU8());
   HOD_ASSIGN_OR_RETURN(e.level, hierarchy::LevelFromValue(level));
-  HOD_ASSIGN_OR_RETURN(e.ts, bin::ReadF64(is));
-  HOD_ASSIGN_OR_RETURN(e.before_mean, bin::ReadF64(is));
-  HOD_ASSIGN_OR_RETURN(e.after_mean, bin::ReadF64(is));
-  HOD_ASSIGN_OR_RETURN(e.magnitude_sigmas, bin::ReadF64(is));
-  HOD_ASSIGN_OR_RETURN(e.evidence, bin::ReadF64(is));
-  HOD_ASSIGN_OR_RETURN(e.run_length, bin::ReadU64(is));
+  HOD_ASSIGN_OR_RETURN(e.ts, in.ReadF64());
+  HOD_ASSIGN_OR_RETURN(e.before_mean, in.ReadF64());
+  HOD_ASSIGN_OR_RETURN(e.after_mean, in.ReadF64());
+  HOD_ASSIGN_OR_RETURN(e.magnitude_sigmas, in.ReadF64());
+  HOD_ASSIGN_OR_RETURN(e.evidence, in.ReadF64());
+  HOD_ASSIGN_OR_RETURN(e.run_length, in.ReadU64());
   return e;
 }
 
@@ -309,117 +316,133 @@ StatusOr<stream::EngineSnapshot> ApplyDelta(const stream::EngineSnapshot& base,
   return next;
 }
 
-void WriteSnapshot(std::ostream& os, const stream::EngineSnapshot& snapshot) {
-  bin::WriteU64(os, snapshot.sequence);
-  bin::WriteU64(os, snapshot.events_seen);
-  bin::WriteF64(os, snapshot.ts);
+void WriteSnapshot(bin::ByteWriter& out,
+                   const stream::EngineSnapshot& snapshot) {
+  out.WriteU64(snapshot.sequence);
+  out.WriteU64(snapshot.events_seen);
+  out.WriteF64(snapshot.ts);
   for (const stream::LevelOutlierState& level : snapshot.levels) {
-    WriteLevelState(os, level);
+    WriteLevelState(out, level);
   }
-  bin::WriteU32(os, static_cast<uint32_t>(snapshot.active_alarms.size()));
+  out.WriteU32(static_cast<uint32_t>(snapshot.active_alarms.size()));
   for (const stream::ActiveAlarm& alarm : snapshot.active_alarms) {
-    WriteAlarm(os, alarm);
+    WriteAlarm(out, alarm);
   }
-  bin::WriteU32(os, static_cast<uint32_t>(snapshot.quarantined.size()));
+  out.WriteU32(static_cast<uint32_t>(snapshot.quarantined.size()));
   for (const stream::QuarantinedSensor& q : snapshot.quarantined) {
-    WriteQuarantine(os, q);
+    WriteQuarantine(out, q);
   }
-  bin::WriteU8(os, snapshot.group_outage_active ? 1 : 0);
-  bin::WriteString(os, snapshot.group_outage_entity);
-  bin::WriteF64(os, snapshot.group_outage_since);
-  bin::WriteU64(os, snapshot.group_outage_sensors);
-  bin::WriteU32(os, static_cast<uint32_t>(snapshot.concept_shifts.size()));
+  out.WriteU8(snapshot.group_outage_active ? 1 : 0);
+  out.WriteString(snapshot.group_outage_entity);
+  out.WriteF64(snapshot.group_outage_since);
+  out.WriteU64(snapshot.group_outage_sensors);
+  out.WriteU32(static_cast<uint32_t>(snapshot.concept_shifts.size()));
   for (const stream::ConceptShiftEvent& shift : snapshot.concept_shifts) {
-    WriteShift(os, shift);
+    WriteShift(out, shift);
   }
-  bin::WriteU64(os, snapshot.concept_shifts_total);
+  out.WriteU64(snapshot.concept_shifts_total);
 }
 
-StatusOr<stream::EngineSnapshot> ReadSnapshot(std::istream& is) {
-  // The counts below are untrusted: nothing is reserved from them, so a
-  // forged count fails at the first short read instead of allocating.
+StatusOr<stream::EngineSnapshot> ReadSnapshot(bin::ByteReader& in) {
+  // The counts below are untrusted: each is checked against the bytes
+  // left before anything is reserved for it.
   stream::EngineSnapshot snapshot;
-  HOD_ASSIGN_OR_RETURN(snapshot.sequence, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(snapshot.events_seen, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(snapshot.ts, bin::ReadF64(is));
+  HOD_ASSIGN_OR_RETURN(snapshot.sequence, in.ReadU64());
+  HOD_ASSIGN_OR_RETURN(snapshot.events_seen, in.ReadU64());
+  HOD_ASSIGN_OR_RETURN(snapshot.ts, in.ReadF64());
   for (int i = 0; i < hierarchy::kNumLevels; ++i) {
-    HOD_ASSIGN_OR_RETURN(snapshot.levels[i], ReadLevelState(is));
+    HOD_ASSIGN_OR_RETURN(snapshot.levels[i], ReadLevelState(in));
   }
   uint32_t count = 0;
-  HOD_ASSIGN_OR_RETURN(count, bin::ReadU32(is));
+  HOD_ASSIGN_OR_RETURN(count, in.ReadU32());
+  HOD_RETURN_IF_ERROR(in.CheckCount(count, kMinAlarmBytes, "alarm count"));
+  snapshot.active_alarms.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    stream::ActiveAlarm alarm;
-    HOD_ASSIGN_OR_RETURN(alarm, ReadAlarm(is));
+    HOD_ASSIGN_OR_RETURN(stream::ActiveAlarm alarm, ReadAlarm(in));
     snapshot.active_alarms.push_back(std::move(alarm));
   }
-  HOD_ASSIGN_OR_RETURN(count, bin::ReadU32(is));
+  HOD_ASSIGN_OR_RETURN(count, in.ReadU32());
+  HOD_RETURN_IF_ERROR(
+      in.CheckCount(count, kMinQuarantineBytes, "quarantine count"));
+  snapshot.quarantined.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    stream::QuarantinedSensor q;
-    HOD_ASSIGN_OR_RETURN(q, ReadQuarantine(is));
+    HOD_ASSIGN_OR_RETURN(stream::QuarantinedSensor q, ReadQuarantine(in));
     snapshot.quarantined.push_back(std::move(q));
   }
   uint8_t active = 0;
-  HOD_ASSIGN_OR_RETURN(active, bin::ReadU8(is));
+  HOD_ASSIGN_OR_RETURN(active, in.ReadU8());
   snapshot.group_outage_active = active != 0;
-  HOD_ASSIGN_OR_RETURN(snapshot.group_outage_entity, bin::ReadString(is));
-  HOD_ASSIGN_OR_RETURN(snapshot.group_outage_since, bin::ReadF64(is));
-  HOD_ASSIGN_OR_RETURN(snapshot.group_outage_sensors, bin::ReadU64(is));
-  HOD_ASSIGN_OR_RETURN(count, bin::ReadU32(is));
+  HOD_ASSIGN_OR_RETURN(snapshot.group_outage_entity, in.ReadString());
+  HOD_ASSIGN_OR_RETURN(snapshot.group_outage_since, in.ReadF64());
+  HOD_ASSIGN_OR_RETURN(snapshot.group_outage_sensors, in.ReadU64());
+  HOD_ASSIGN_OR_RETURN(count, in.ReadU32());
+  HOD_RETURN_IF_ERROR(in.CheckCount(count, kMinShiftBytes, "shift count"));
+  snapshot.concept_shifts.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    stream::ConceptShiftEvent shift;
-    HOD_ASSIGN_OR_RETURN(shift, ReadShift(is));
+    HOD_ASSIGN_OR_RETURN(stream::ConceptShiftEvent shift, ReadShift(in));
     snapshot.concept_shifts.push_back(std::move(shift));
   }
-  HOD_ASSIGN_OR_RETURN(snapshot.concept_shifts_total, bin::ReadU64(is));
+  HOD_ASSIGN_OR_RETURN(snapshot.concept_shifts_total, in.ReadU64());
   return snapshot;
 }
 
+void WriteSnapshot(std::ostream& os, const stream::EngineSnapshot& snapshot) {
+  const std::string bytes = EncodeSnapshotBytes(snapshot);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+StatusOr<stream::EngineSnapshot> ReadSnapshot(std::istream& is) {
+  const std::string bytes = bin::ReadToEnd(is);
+  bin::ByteReader in(bytes);
+  return ReadSnapshot(in);
+}
+
 std::string EncodeSnapshotBytes(const stream::EngineSnapshot& snapshot) {
-  std::ostringstream os;
-  WriteSnapshot(os, snapshot);
-  return os.str();
+  bin::ByteWriter out;
+  WriteSnapshot(out, snapshot);
+  return out.Release();
 }
 
 std::string EncodeDeltaBytes(const SnapshotDelta& delta) {
-  std::ostringstream os;
-  bin::WriteU64(os, delta.base_sequence);
-  bin::WriteU64(os, delta.sequence);
-  bin::WriteU64(os, delta.events_seen);
-  bin::WriteF64(os, delta.ts);
-  bin::WriteU32(os, static_cast<uint32_t>(delta.levels.size()));
+  bin::ByteWriter out;
+  out.WriteU64(delta.base_sequence);
+  out.WriteU64(delta.sequence);
+  out.WriteU64(delta.events_seen);
+  out.WriteF64(delta.ts);
+  out.WriteU32(static_cast<uint32_t>(delta.levels.size()));
   for (const LevelDelta& level : delta.levels) {
-    bin::WriteU8(os, level.index);
-    WriteLevelState(os, level.state);
+    out.WriteU8(level.index);
+    WriteLevelState(out, level.state);
   }
-  bin::WriteU32(os, static_cast<uint32_t>(delta.alarm_upserts.size()));
+  out.WriteU32(static_cast<uint32_t>(delta.alarm_upserts.size()));
   for (const stream::ActiveAlarm& alarm : delta.alarm_upserts) {
-    WriteAlarm(os, alarm);
+    WriteAlarm(out, alarm);
   }
-  bin::WriteU32(os, static_cast<uint32_t>(delta.alarm_removals.size()));
-  for (const std::string& id : delta.alarm_removals) bin::WriteString(os, id);
-  bin::WriteU32(os, static_cast<uint32_t>(delta.quarantine_upserts.size()));
+  out.WriteU32(static_cast<uint32_t>(delta.alarm_removals.size()));
+  for (const std::string& id : delta.alarm_removals) out.WriteString(id);
+  out.WriteU32(static_cast<uint32_t>(delta.quarantine_upserts.size()));
   for (const stream::QuarantinedSensor& q : delta.quarantine_upserts) {
-    WriteQuarantine(os, q);
+    WriteQuarantine(out, q);
   }
-  bin::WriteU32(os, static_cast<uint32_t>(delta.quarantine_removals.size()));
+  out.WriteU32(static_cast<uint32_t>(delta.quarantine_removals.size()));
   for (const std::string& id : delta.quarantine_removals) {
-    bin::WriteString(os, id);
+    out.WriteString(id);
   }
-  bin::WriteU8(os, delta.outage_changed ? 1 : 0);
+  out.WriteU8(delta.outage_changed ? 1 : 0);
   if (delta.outage_changed) {
-    bin::WriteU8(os, delta.group_outage_active ? 1 : 0);
-    bin::WriteString(os, delta.group_outage_entity);
-    bin::WriteF64(os, delta.group_outage_since);
-    bin::WriteU64(os, delta.group_outage_sensors);
+    out.WriteU8(delta.group_outage_active ? 1 : 0);
+    out.WriteString(delta.group_outage_entity);
+    out.WriteF64(delta.group_outage_since);
+    out.WriteU64(delta.group_outage_sensors);
   }
-  bin::WriteU8(os, delta.shifts_full ? 1 : 0);
-  bin::WriteU32(os, static_cast<uint32_t>(delta.shift_events.size()));
+  out.WriteU8(delta.shifts_full ? 1 : 0);
+  out.WriteU32(static_cast<uint32_t>(delta.shift_events.size()));
   for (const stream::ConceptShiftEvent& shift : delta.shift_events) {
-    WriteShift(os, shift);
+    WriteShift(out, shift);
   }
-  bin::WriteU32(os, delta.shift_ring_size);
-  bin::WriteU64(os, delta.concept_shifts_total);
-  return os.str();
+  out.WriteU32(delta.shift_ring_size);
+  out.WriteU64(delta.concept_shifts_total);
+  return out.Release();
 }
 
 }  // namespace hod::serve

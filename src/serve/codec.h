@@ -11,6 +11,11 @@
 #include "util/status.h"
 #include "util/statusor.h"
 
+namespace hod::hierarchy::bin {
+class ByteReader;
+class ByteWriter;
+}  // namespace hod::hierarchy::bin
+
 namespace hod::serve {
 
 /// One changed hierarchy level inside a delta: index into
@@ -89,6 +94,13 @@ StatusOr<stream::EngineSnapshot> ApplyDelta(const stream::EngineSnapshot& base,
 /// Canonical little-endian serialization of every EngineSnapshot field.
 /// Two snapshots are byte-identical under this encoding iff they are
 /// field-identical — the equality oracle for delta-reconstruction parity.
+/// ReadSnapshot checks every count against the bytes left before it
+/// reserves for it.
+void WriteSnapshot(hierarchy::bin::ByteWriter& out,
+                   const stream::EngineSnapshot& snapshot);
+StatusOr<stream::EngineSnapshot> ReadSnapshot(hierarchy::bin::ByteReader& in);
+/// Stream adapters: one write of the encoded bytes; read to the end of
+/// `is` and parse the span.
 void WriteSnapshot(std::ostream& os, const stream::EngineSnapshot& snapshot);
 StatusOr<stream::EngineSnapshot> ReadSnapshot(std::istream& is);
 std::string EncodeSnapshotBytes(const stream::EngineSnapshot& snapshot);

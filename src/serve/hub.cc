@@ -2,6 +2,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <istream>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -13,6 +16,8 @@ namespace {
 namespace bin = hierarchy::bin;
 constexpr uint32_t kHubStateMagic = 0x53444F48u;  // "HODS"
 constexpr uint32_t kHubStateVersion = 1;
+/// One history entry: its timestamp and the level's eight fields.
+constexpr size_t kHistoryEntryBytes = 9 * 8;
 }  // namespace
 
 /// Hub-side half of one subscriber: the bounded SPSC queue (producer = hub
@@ -322,65 +327,71 @@ uint64_t SnapshotHub::HistoryEvicted(int level_index) const {
 }
 
 Status SnapshotHub::SaveState(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  bin::WriteU32(os, kHubStateMagic);
-  bin::WriteU32(os, kHubStateVersion);
-  bin::WriteU8(os, have_last_ ? 1 : 0);
-  if (have_last_) WriteSnapshot(os, last_);
-  for (const auto& ring : history_) {
-    bin::WriteU32(os, static_cast<uint32_t>(ring.size()));
-    for (size_t i = 0; i < ring.size(); ++i) {
-      const auto& entry = ring.At(i);
-      bin::WriteF64(os, entry.ts);
-      bin::WriteU64(os, entry.value.outlier_samples);
-      bin::WriteU64(os, entry.value.alarms_raised);
-      bin::WriteU64(os, entry.value.alarms_cleared);
-      bin::WriteU64(os, entry.value.active_alarms);
-      bin::WriteU64(os, entry.value.sensor_faults);
-      bin::WriteU64(os, entry.value.quarantined_sensors);
-      bin::WriteF64(os, entry.value.peak_score);
-      bin::WriteF64(os, entry.value.last_outlier_ts);
+  bin::ByteWriter out;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out.WriteU32(kHubStateMagic);
+    out.WriteU32(kHubStateVersion);
+    out.WriteU8(have_last_ ? 1 : 0);
+    if (have_last_) WriteSnapshot(out, last_);
+    for (const auto& ring : history_) {
+      out.WriteU32(static_cast<uint32_t>(ring.size()));
+      for (size_t i = 0; i < ring.size(); ++i) {
+        const auto& entry = ring.At(i);
+        out.WriteF64(entry.ts);
+        out.WriteU64(entry.value.outlier_samples);
+        out.WriteU64(entry.value.alarms_raised);
+        out.WriteU64(entry.value.alarms_cleared);
+        out.WriteU64(entry.value.active_alarms);
+        out.WriteU64(entry.value.sensor_faults);
+        out.WriteU64(entry.value.quarantined_sensors);
+        out.WriteF64(entry.value.peak_score);
+        out.WriteF64(entry.value.last_outlier_ts);
+      }
     }
   }
+  os.write(out.bytes().data(), static_cast<std::streamsize>(out.size()));
   if (!os.good()) return Status::Internal("hub state write failed");
   return Status::Ok();
 }
 
 Status SnapshotHub::RestoreState(std::istream& is) {
+  const std::string bytes = bin::ReadToEnd(is);
+  bin::ByteReader in(bytes);
   uint32_t magic = 0;
-  HOD_ASSIGN_OR_RETURN(magic, bin::ReadU32(is));
+  HOD_ASSIGN_OR_RETURN(magic, in.ReadU32());
   if (magic != kHubStateMagic) {
     return Status::InvalidArgument("not a hub state image");
   }
   uint32_t version = 0;
-  HOD_ASSIGN_OR_RETURN(version, bin::ReadU32(is));
+  HOD_ASSIGN_OR_RETURN(version, in.ReadU32());
   if (version != kHubStateVersion) {
     return Status::InvalidArgument("unsupported hub state version");
   }
   uint8_t have_last = 0;
-  HOD_ASSIGN_OR_RETURN(have_last, bin::ReadU8(is));
+  HOD_ASSIGN_OR_RETURN(have_last, in.ReadU8());
   stream::EngineSnapshot last;
   if (have_last != 0) {
-    HOD_ASSIGN_OR_RETURN(last, ReadSnapshot(is));
+    HOD_ASSIGN_OR_RETURN(last, ReadSnapshot(in));
   }
   std::vector<std::vector<HistoryRing<stream::LevelOutlierState>::Entry>>
       rings(hierarchy::kNumLevels);
   for (int i = 0; i < hierarchy::kNumLevels; ++i) {
     uint32_t count = 0;
-    HOD_ASSIGN_OR_RETURN(count, bin::ReadU32(is));
-    rings[i].reserve(count);
-    for (uint32_t j = 0; j < count; ++j) {
-      HistoryRing<stream::LevelOutlierState>::Entry entry;
-      HOD_ASSIGN_OR_RETURN(entry.ts, bin::ReadF64(is));
-      HOD_ASSIGN_OR_RETURN(entry.value.outlier_samples, bin::ReadU64(is));
-      HOD_ASSIGN_OR_RETURN(entry.value.alarms_raised, bin::ReadU64(is));
-      HOD_ASSIGN_OR_RETURN(entry.value.alarms_cleared, bin::ReadU64(is));
-      HOD_ASSIGN_OR_RETURN(entry.value.active_alarms, bin::ReadU64(is));
-      HOD_ASSIGN_OR_RETURN(entry.value.sensor_faults, bin::ReadU64(is));
-      HOD_ASSIGN_OR_RETURN(entry.value.quarantined_sensors, bin::ReadU64(is));
-      HOD_ASSIGN_OR_RETURN(entry.value.peak_score, bin::ReadF64(is));
-      HOD_ASSIGN_OR_RETURN(entry.value.last_outlier_ts, bin::ReadF64(is));
-      rings[i].push_back(entry);
+    HOD_ASSIGN_OR_RETURN(count, in.ReadU32());
+    HOD_RETURN_IF_ERROR(
+        in.CheckCount(count, kHistoryEntryBytes, "history entry count"));
+    rings[i].resize(count);
+    for (auto& entry : rings[i]) {
+      HOD_ASSIGN_OR_RETURN(entry.ts, in.ReadF64());
+      HOD_ASSIGN_OR_RETURN(entry.value.outlier_samples, in.ReadU64());
+      HOD_ASSIGN_OR_RETURN(entry.value.alarms_raised, in.ReadU64());
+      HOD_ASSIGN_OR_RETURN(entry.value.alarms_cleared, in.ReadU64());
+      HOD_ASSIGN_OR_RETURN(entry.value.active_alarms, in.ReadU64());
+      HOD_ASSIGN_OR_RETURN(entry.value.sensor_faults, in.ReadU64());
+      HOD_ASSIGN_OR_RETURN(entry.value.quarantined_sensors, in.ReadU64());
+      HOD_ASSIGN_OR_RETURN(entry.value.peak_score, in.ReadF64());
+      HOD_ASSIGN_OR_RETURN(entry.value.last_outlier_ts, in.ReadF64());
     }
   }
   std::lock_guard<std::mutex> lock(mu_);

@@ -204,7 +204,9 @@ class SnapshotHub {
   /// RestoreState the next publish is always broadcast as a keyframe:
   /// subscribers resync instead of applying deltas against a stale base —
   /// same path that absorbs an engine checkpoint/restore sequence
-  /// regression.
+  /// regression. SaveState writes the image with one call; RestoreState
+  /// reads `is` to its end and refuses a history count the bytes cannot
+  /// hold before reserving for it.
   Status SaveState(std::ostream& os) const;
   Status RestoreState(std::istream& is);
 

@@ -7,6 +7,7 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/bocpd.h"
@@ -16,6 +17,10 @@
 #include "stream/health.h"
 #include "stream/stats.h"
 #include "util/statusor.h"
+
+namespace hod::hierarchy::bin {
+class ByteWriter;
+}  // namespace hod::hierarchy::bin
 
 namespace hod::stream {
 
@@ -83,13 +88,23 @@ struct EngineCheckpoint {
   StreamStatsSnapshot stats;
 };
 
-/// Writes a versioned little-endian binary image of `checkpoint`.
-/// The encoding is deterministic: identical state -> identical bytes.
+/// Appends a versioned little-endian binary image of `checkpoint` to
+/// `out`. The encoding is deterministic: identical state -> identical
+/// bytes.
+void WriteEngineCheckpoint(const EngineCheckpoint& checkpoint,
+                           hierarchy::bin::ByteWriter& out);
+
+/// Parses an image written by WriteEngineCheckpoint from one contiguous
+/// span (trailing bytes are ignored). Typed errors on truncation, bad
+/// magic, unsupported version, or out-of-range enums; a record count the
+/// remaining bytes cannot hold is refused (InvalidArgument) before
+/// anything is allocated for it.
+StatusOr<EngineCheckpoint> ReadEngineCheckpoint(std::string_view image);
+
+/// Stream adapters: the image is built in memory and written with one
+/// call, or read to the end of `is` and parsed as one span.
 Status WriteEngineCheckpoint(const EngineCheckpoint& checkpoint,
                              std::ostream& os);
-
-/// Parses an image written by WriteEngineCheckpoint. Typed errors on
-/// truncation, bad magic, unsupported version, or out-of-range enums.
 StatusOr<EngineCheckpoint> ReadEngineCheckpoint(std::istream& is);
 
 }  // namespace hod::stream

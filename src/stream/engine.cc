@@ -6,6 +6,7 @@
 #include <fstream>
 #include <utility>
 
+#include "hierarchy/serialization.h"
 #include "stream/checkpoint.h"
 #include "util/thread_pool.h"
 
@@ -404,8 +405,15 @@ Status StreamEngine::CheckpointToFile(const std::string& path) {
     HOD_RETURN_IF_ERROR(FillCheckpoint(checkpoint));
   }
 
-  // Crash-safe publication: write the image beside the target and rename
-  // over it, so readers only ever see a complete checkpoint.
+  // Serialize into one buffer sized from the previous image (with a little
+  // headroom for growth), then publish crash-safely: one write beside the
+  // target and a rename over it, so readers only ever see a complete
+  // checkpoint.
+  hierarchy::bin::ByteWriter image;
+  const size_t last_bytes = last_image_bytes_.load(std::memory_order_relaxed);
+  image.Reserve(last_bytes + last_bytes / 16);
+  WriteEngineCheckpoint(checkpoint, image);
+  last_image_bytes_.store(image.size(), std::memory_order_relaxed);
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
@@ -413,12 +421,12 @@ Status StreamEngine::CheckpointToFile(const std::string& path) {
       stats_.Add(Counter::checkpoint_failures);
       return Status::InvalidArgument("cannot open checkpoint file: " + tmp);
     }
-    Status status = WriteEngineCheckpoint(checkpoint, os);
-    if (!status.ok() || !os.good()) {
+    os.write(image.bytes().data(),
+             static_cast<std::streamsize>(image.size()));
+    os.flush();
+    if (!os.good()) {
       stats_.Add(Counter::checkpoint_failures);
-      return status.ok() ? Status::InvalidArgument("checkpoint write failed: " +
-                                                   tmp)
-                         : status;
+      return Status::InvalidArgument("checkpoint write failed: " + tmp);
     }
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -532,9 +540,18 @@ Status StreamEngine::FillCheckpoint(EngineCheckpoint& checkpoint) const {
 
 StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::Restore(
     std::istream& is, StreamEngineOptions options) {
-  HOD_ASSIGN_OR_RETURN(EngineCheckpoint checkpoint, ReadEngineCheckpoint(is));
+  return Restore(hierarchy::bin::ReadToEnd(is), std::move(options));
+}
+
+StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::Restore(
+    std::string image, StreamEngineOptions options) {
+  HOD_ASSIGN_OR_RETURN(EngineCheckpoint checkpoint,
+                       ReadEngineCheckpoint(image));
+  const size_t image_bytes = image.size();
+  std::string().swap(image);  // the engine's state may reuse the memory
   auto engine = std::make_unique<StreamEngine>(std::move(options));
   HOD_RETURN_IF_ERROR(engine->ApplyCheckpoint(checkpoint));
+  engine->last_image_bytes_.store(image_bytes, std::memory_order_relaxed);
   HOD_RETURN_IF_ERROR(engine->Start());
   return engine;
 }

@@ -17,6 +17,7 @@
 #include <set>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -346,9 +347,13 @@ class StreamEngine {
   /// same monitor configuration and out-of-order tolerance the checkpoint
   /// was taken under (validated; InvalidArgument on mismatch); threading
   /// options may differ. The restored engine is started and ready to
-  /// ingest.
+  /// ingest. The stream form reads `is` to its end and parses that span.
   static StatusOr<std::unique_ptr<StreamEngine>> Restore(
       std::istream& is, StreamEngineOptions options);
+  /// Same, from an image already in memory. The engine takes the buffer
+  /// over and frees it once parsed, before it allocates its own state.
+  static StatusOr<std::unique_ptr<StreamEngine>> Restore(
+      std::string image, StreamEngineOptions options);
 
   bool running() const { return state_.load() == kRunning; }
   size_t num_shards() const { return scorer_.num_shards(); }
@@ -512,6 +517,9 @@ class StreamEngine {
   /// draining and serializing.
   mutable std::shared_mutex ingest_gate_;
   const bool checkpoint_gate_enabled_;
+  /// Size of the last image this engine wrote to a file or was restored
+  /// from: CheckpointToFile reserves its buffer from it.
+  std::atomic<size_t> last_image_bytes_{0};
 
   /// Watchdog state: per-shard stall flags (read by stats()).
   std::vector<std::atomic<uint8_t>> stalled_;

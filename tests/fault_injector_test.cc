@@ -209,7 +209,7 @@ TEST(FaultInjector, ApplyStreamIsDeterministicPerSensorOrder) {
     EXPECT_TRUE(injector.PlanRandom({"a", "b", "c"}, 2, 0.0, 200.0).ok());
     std::vector<double> values;
     for (int t = 0; t < 200; ++t) {
-      for (const std::string& id : {"a", "b", "c"}) {
+      for (const char* id : {"a", "b", "c"}) {
         for (const auto& sample :
              injector.Apply(Sample(id, t, 50.0 + t * 0.01))) {
           values.push_back(sample.value);

@@ -964,7 +964,9 @@ TEST(StreamEnginePeer, ThreadedEngineScoresPeersAcrossShards) {
     // (which would, correctly, fire too). A periodic barrier bounds the
     // skew so the only-the-victim assertion below stays meaningful under
     // arbitrary scheduling (TSan slows workers by an order of magnitude).
-    if (t % 16 == 15) ASSERT_TRUE(engine.Flush().ok());
+    if (t % 16 == 15) {
+      ASSERT_TRUE(engine.Flush().ok());
+    }
   }
   ASSERT_TRUE(engine.Flush().ok());
   ASSERT_TRUE(engine.Stop().ok());

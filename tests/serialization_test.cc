@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/plant.h"
 #include "util/rng.h"
@@ -192,6 +201,142 @@ TEST(Serialization, FuzzedGarbageNeverCrashes) {
       EXPECT_FALSE(result.status().message().empty());
     }
   }
+}
+
+// ---- Binary codec ----------------------------------------------------------
+
+TEST(ByteCodec, FieldsAreLittleEndianAndRoundTrip) {
+  bin::ByteWriter out;
+  out.WriteU8(0xAB);
+  out.WriteU32(0x01020304u);
+  out.WriteU64(0x0102030405060708ull);
+  out.WriteF64(-0.0);
+  out.WriteBool(true);
+  out.WriteString("hod");
+  const std::string& bytes = out.bytes();
+  ASSERT_EQ(bytes.size(), 1u + 4 + 8 + 8 + 1 + 4 + 3);
+  EXPECT_EQ(bytes.substr(1, 4), std::string("\x04\x03\x02\x01", 4));
+  EXPECT_EQ(bytes.substr(5, 8),
+            std::string("\x08\x07\x06\x05\x04\x03\x02\x01", 8));
+  EXPECT_EQ(bytes.substr(13, 8), std::string("\0\0\0\0\0\0\0\x80", 8));
+
+  bin::ByteReader in(bytes);
+  EXPECT_EQ(in.remaining(), bytes.size());
+  EXPECT_EQ(in.ReadU8().value(), 0xAB);
+  EXPECT_EQ(in.ReadU32().value(), 0x01020304u);
+  EXPECT_EQ(in.ReadU64().value(), 0x0102030405060708ull);
+  const double zero = in.ReadF64().value();
+  EXPECT_TRUE(zero == 0.0 && std::signbit(zero));
+  EXPECT_TRUE(in.ReadBool().value());
+  EXPECT_EQ(in.ReadString().value(), "hod");
+  EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_EQ(in.ReadU8().status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(ByteCodec, VectorsRoundTripBitExact) {
+  const std::vector<double> values = {
+      1.0, -2.5, std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(), 1e308};
+  const std::vector<uint64_t> counts = {0, 1, ~uint64_t{0}, 1ull << 40};
+  bin::ByteWriter out;
+  out.WriteF64Vector(values);
+  out.WriteU64Vector(counts);
+  out.WriteF64Vector({});
+  // A vector is its u32 count followed by the same bytes per-value
+  // writes produce.
+  bin::ByteWriter per_value;
+  per_value.WriteU32(static_cast<uint32_t>(values.size()));
+  for (double value : values) per_value.WriteF64(value);
+  EXPECT_EQ(out.bytes().substr(0, per_value.size()), per_value.bytes());
+
+  bin::ByteReader in(out.bytes());
+  std::vector<double> doubles = {42.0};  // replaced, not appended to
+  std::vector<uint64_t> words;
+  std::vector<double> empty = {1.0};
+  ASSERT_TRUE(in.ReadF64Vector(doubles).ok());
+  ASSERT_TRUE(in.ReadU64Vector(words).ok());
+  ASSERT_TRUE(in.ReadF64Vector(empty).ok());
+  EXPECT_EQ(in.remaining(), 0u);
+  ASSERT_EQ(doubles.size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(doubles[i]),
+              std::bit_cast<uint64_t>(values[i]));
+  }
+  EXPECT_EQ(words, counts);
+  EXPECT_TRUE(empty.empty());
+}
+
+TEST(ByteCodec, ReadsAreBoundedByTheSpan) {
+  bin::ByteWriter out;
+  out.WriteU32(3);  // claims three doubles...
+  out.WriteF64(1.0);
+  out.WriteF64(2.0);  // ...but holds two
+  bin::ByteReader short_vector(out.bytes());
+  std::vector<double> values;
+  EXPECT_EQ(short_vector.ReadF64Vector(values).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(values.empty()) << "nothing is allocated for a refused count";
+
+  bin::ByteWriter huge;
+  huge.WriteU32(0x00FFFFFFu);  // a forged length
+  bin::ByteReader forged_vector(huge.bytes());
+  std::vector<uint64_t> words;
+  EXPECT_EQ(forged_vector.ReadU64Vector(words).code(),
+            StatusCode::kInvalidArgument);
+  bin::ByteReader forged_string(huge.bytes());
+  EXPECT_EQ(forged_string.ReadString().status().code(),
+            StatusCode::kOutOfRange);
+
+  bin::ByteWriter text;
+  text.WriteString("abcdef");
+  const std::string cut = text.bytes().substr(0, text.size() - 1);
+  bin::ByteReader truncated(cut);
+  EXPECT_EQ(truncated.ReadString().status().code(), StatusCode::kOutOfRange);
+
+  // A failed read leaves the cursor where it was.
+  const std::string three(3, '\x01');
+  bin::ByteReader partial(three);
+  EXPECT_FALSE(partial.ReadU32().ok());
+  EXPECT_EQ(partial.remaining(), 3u);
+  EXPECT_EQ(partial.ReadU8().value(), 1u);
+
+  bin::ByteReader two_bytes(std::string_view("\x02\x00", 2));
+  EXPECT_EQ(two_bytes.ReadBool().status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ByteCodec, CheckCountBoundsRecordsByTheBytesLeft) {
+  const std::string bytes(100, '\0');
+  bin::ByteReader in(bytes);
+  EXPECT_TRUE(in.CheckCount(10, 10, "record count").ok());
+  EXPECT_TRUE(in.CheckCount(0, 64, "record count").ok());
+  const Status refused = in.CheckCount(11, 10, "record count");
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(refused.message(), "implausible record count");
+  EXPECT_FALSE(in.CheckCount(uint64_t{1} << 40, 1, "record count").ok());
+}
+
+/// A stream buffer that cannot seek, like a pipe.
+class OneWayBuffer : public std::streambuf {
+ public:
+  explicit OneWayBuffer(std::string data) : data_(std::move(data)) {
+    setg(data_.data(), data_.data(), data_.data() + data_.size());
+  }
+
+ private:
+  std::string data_;
+};
+
+TEST(ByteCodec, ReadToEndDrainsSeekableAndPlainStreams) {
+  const std::string payload(70000, 'x');
+  std::istringstream seekable(payload);
+  seekable.get();  // starts mid-stream
+  EXPECT_EQ(bin::ReadToEnd(seekable), payload.substr(1));
+  OneWayBuffer pipe(payload);
+  std::istream one_way(&pipe);
+  EXPECT_EQ(bin::ReadToEnd(one_way), payload);
+  std::stringstream empty;
+  EXPECT_EQ(bin::ReadToEnd(empty), "");
 }
 
 }  // namespace

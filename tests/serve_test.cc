@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "detect/olap_cube.h"
+#include "hierarchy/serialization.h"
+#include "iostream_codec_oracle.h"
 #include "serve/codec.h"
 #include "serve/fleet_hub.h"
 #include "serve/history.h"
@@ -331,6 +333,28 @@ TEST(ServeCodec, ReadSnapshotNeverThrowsOnForgedWords) {
     if (!decoded.ok()) ++rejected;
   }
   EXPECT_GT(rejected, 0u);
+}
+
+/// The buffer codec against the per-value iostream writer it replaced:
+/// the same bytes for every snapshot shape, and the reader parses the
+/// oracle's bytes back to the same snapshot.
+TEST(ServeCodec, BufferCodecMatchesIostreamOracle) {
+  Rng rng(19);
+  EngineSnapshot snap = RandomSnapshot(rng, 1);
+  for (int i = 0; i < 200; ++i) {
+    snap = i % 4 == 0 ? RandomSnapshot(rng, i + 2) : EvolveSnapshot(rng, snap);
+    const std::string reference = oracle::SnapshotBytes(snap);
+    ASSERT_EQ(EncodeSnapshotBytes(snap), reference) << "snapshot " << i;
+    std::ostringstream os;
+    WriteSnapshot(os, snap);
+    ASSERT_EQ(os.str(), reference) << "snapshot " << i;
+
+    hierarchy::bin::ByteReader in(reference);
+    auto decoded = ReadSnapshot(in);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(in.remaining(), 0u);
+    ASSERT_EQ(oracle::SnapshotBytes(*decoded), reference) << "snapshot " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -659,6 +683,39 @@ TEST(SnapshotHub, SaveRestoreForcesKeyframeAndKeepsHistory) {
   ASSERT_TRUE(sub->has_view());
   EXPECT_EQ(EncodeSnapshotBytes(sub->View()), EncodeSnapshotBytes(resumed));
   EXPECT_GE(revived.Stats().keyframes_encoded, 1u);
+}
+
+TEST(SnapshotHub, SaveStateMatchesIostreamOracle) {
+  SnapshotHubOptions options = SyncHub(/*keyframe_every=*/3);
+  options.history_capacity = 4;
+  {
+    SnapshotHub empty(options);
+    std::ostringstream os;
+    ASSERT_TRUE(empty.SaveState(os).ok());
+    EXPECT_EQ(os.str(), oracle::HubStateBytes({}, options.history_capacity));
+  }
+  SnapshotHub hub(options);
+  Rng rng(73);
+  std::vector<EngineSnapshot> published;
+  EngineSnapshot snap = RandomSnapshot(rng, 1);
+  for (int i = 0; i < 10; ++i) {
+    snap.ts = 2.5 * i;
+    hub.Publish(snap);
+    published.push_back(snap);
+    snap = EvolveSnapshot(rng, snap);
+  }
+  const std::string reference =
+      oracle::HubStateBytes(published, options.history_capacity);
+  std::ostringstream os;
+  ASSERT_TRUE(hub.SaveState(os).ok());
+  EXPECT_EQ(os.str(), reference) << "rings wrapped past their capacity";
+
+  SnapshotHub revived(options);
+  std::istringstream is(reference);
+  ASSERT_TRUE(revived.RestoreState(is).ok());
+  std::ostringstream again;
+  ASSERT_TRUE(revived.SaveState(again).ok());
+  EXPECT_EQ(again.str(), reference);
 }
 
 // ---------------------------------------------------------------------------

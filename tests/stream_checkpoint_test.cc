@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "hierarchy/serialization.h"
+#include "iostream_codec_oracle.h"
 #include "serve/codec.h"
 #include "serve/hub.h"
 #include "stream/engine.h"
@@ -125,7 +126,7 @@ EngineCheckpoint SmallCheckpoint(const StreamEngineOptions& options) {
 /// Reference oracle: the v6 stats section in the field order the writer
 /// used before the counters moved into one table.
 std::string ReferenceV6StatsBytes(const StreamStatsSnapshot& stats) {
-  namespace bin = hierarchy::bin;
+  namespace bin = oracle;  // the per-value iostream primitives
   std::ostringstream os;
   for (uint64_t value :
        {stats.ingested, stats.scored, stats.dropped, stats.rejected_queue_full,
@@ -776,7 +777,7 @@ TEST(EngineCheckpoint, RestoreRejectsShiftLayerMismatch) {
 /// layer, zeroed aggregates) byte for byte — the compatibility contract
 /// with images written before the concept-shift layer existed.
 std::string MakeV4Image(const StreamEngineOptions& options) {
-  namespace bin = hierarchy::bin;
+  namespace bin = oracle;  // the per-value iostream primitives
   const double neg_inf = -std::numeric_limits<double>::infinity();
   std::ostringstream os;
   bin::WriteU32(os, 0x43444F48u);  // "HODC"
@@ -932,6 +933,178 @@ TEST(EngineCheckpoint, KillAndRestoreRepublishesKeyframeToHubSubscribers) {
             serve::EncodeSnapshotBytes(engine.Snapshot()));
   EXPECT_EQ(sub->stale_skipped(), 0u);
   ASSERT_TRUE(engine.Stop().ok());
+}
+
+// ---- Buffer codec vs the per-value iostream oracle -------------------------
+
+/// Sync engine with every section of the image populated: BOCPD on with a
+/// confirmed concept shift, a peer group, a quarantine-onset outage still
+/// open (six of eight line sensors silent), a peer deviation, router
+/// rejects, a drop-oldest policy, and escalated findings carrying
+/// warnings and confirmed levels.
+StreamEngineOptions RichOptions() {
+  StreamEngineOptions options = SyncOptions();
+  options.shift.enabled = true;
+  options.health.staleness_timeout = 30.0;
+  options.health.recovery_clean_streak = 8;
+  options.health_sweep_every = 16;
+  options.peer.outage_min_sensors = 6;
+  options.peer.outage_window = 20.0;
+  options.peer.outage_entity = "line1";
+  return options;
+}
+
+void BuildRichEngine(StreamEngine& engine) {
+  std::vector<std::string> line;
+  for (int i = 0; i < 8; ++i) line.push_back("line1.s" + std::to_string(i));
+  for (const std::string& id : line) {
+    ASSERT_TRUE(engine.AddSensor(id, ProductionLevel::kPhase).ok());
+  }
+  ASSERT_TRUE(engine.AddPeerGroup("line1.bed", line).ok());
+  ASSERT_TRUE(engine.AddSensor("shift", ProductionLevel::kPhase).ok());
+  ASSERT_TRUE(engine
+                  .AddSensor("env", ProductionLevel::kEnvironment,
+                             BackpressurePolicy::kDropOldest)
+                  .ok());
+  ASSERT_TRUE(engine.Start().ok());
+  const std::vector<double> shift = MakeShiftStream(131, 300, 100, 6.0);
+  Rng rng(137);
+  for (size_t t = 0; t < 300; ++t) {
+    // The line's trunk dies at t = 200: six sensors go silent while two
+    // survivors keep the frontier moving.
+    const size_t live = t < 200 ? line.size() : 2;
+    for (size_t i = 0; i < live; ++i) {
+      double value = 50.0 + rng.Gaussian(0.0, 0.25);
+      // A survivor's gain drifts away from its peers.
+      if (i == 1 && t >= 40) {
+        value *= 1.0 + 0.001 * static_cast<double>(t - 40);
+      }
+      ASSERT_TRUE(engine
+                      .Ingest({line[i], ProductionLevel::kPhase,
+                               static_cast<double>(t), value})
+                      .ok());
+    }
+    ASSERT_TRUE(engine
+                    .Ingest({"shift", ProductionLevel::kPhase,
+                             static_cast<double>(t), shift[t]})
+                    .ok());
+    ASSERT_TRUE(engine
+                    .Ingest({"env", ProductionLevel::kEnvironment,
+                             static_cast<double>(t),
+                             20.0 + rng.Gaussian(0.0, 0.1)})
+                    .ok());
+  }
+  // Router rejects: an unknown sensor and a sample behind the frontier.
+  EXPECT_FALSE(
+      engine.Ingest({"ghost", ProductionLevel::kPhase, 300.0, 1.0}).ok());
+  EXPECT_FALSE(
+      engine.Ingest({"shift", ProductionLevel::kPhase, 10.0, 50.0}).ok());
+  core::OutlierFinding triple;
+  triple.origin.entity = "shift";
+  triple.origin.level = ProductionLevel::kPhase;
+  triple.origin.time = 120.0;
+  triple.origin.index = 120;
+  triple.origin.score = 7.5;
+  triple.global_score = 3;
+  triple.outlierness = 0.875;
+  triple.support = 0.5;
+  triple.corresponding_sensors = 2;
+  triple.escalated = true;
+  triple.confirmed_levels = {ProductionLevel::kJob,
+                             ProductionLevel::kProductionLine};
+  core::OutlierFinding suspect = triple;
+  suspect.origin.entity = "line1.s3";
+  suspect.measurement_error_warning = true;
+  suspect.warnings = {"no lower-level evidence", "support below 0.5"};
+  engine.ReportEscalation(EscalationRunStats{}, {triple, suspect});
+  ASSERT_TRUE(engine.Flush().ok());
+}
+
+TEST(EngineCheckpoint, BufferCodecMatchesIostreamOracleOnARichEngine) {
+  StreamEngine engine(RichOptions());
+  BuildRichEngine(engine);
+  const StreamStatsSnapshot stats = engine.stats();
+  ASSERT_GE(stats.concept_shifts, 1u) << "fixture must shift";
+  ASSERT_EQ(stats.group_outages, 1u) << "fixture must open an outage";
+  ASSERT_GT(stats.rejected_unknown_sensor, 0u);
+  ASSERT_GT(stats.rejected_out_of_order, 0u);
+  ASSERT_GT(stats.peer_deviations, 0u) << "fixture must drift";
+
+  const std::string bytes = CheckpointBytes(engine);
+  auto parsed = ReadEngineCheckpoint(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  // Every section is populated, so no writer or reader branch is idle.
+  EXPECT_TRUE(parsed->shift_enabled);
+  EXPECT_TRUE(parsed->sensors[0].has_bocpd);
+  EXPECT_FALSE(parsed->sensors[0].bocpd.run_length.empty());
+  EXPECT_TRUE(parsed->outage_active);
+  EXPECT_EQ(parsed->outage_members.size(), 6u);
+  EXPECT_FALSE(parsed->quarantined.empty());
+  ASSERT_EQ(parsed->peer_groups.size(), 1u);
+  EXPECT_FALSE(parsed->peer_groups[0].members[0].ring_residual.empty());
+  EXPECT_FALSE(parsed->recent_shifts.empty());
+  bool warned = false;
+  bool confirmed = false;
+  for (const core::OutlierFinding& finding : parsed->findings) {
+    warned |= !finding.warnings.empty();
+    confirmed |= !finding.confirmed_levels.empty();
+  }
+  EXPECT_TRUE(warned);
+  EXPECT_TRUE(confirmed);
+
+  // The writers agree byte for byte on the same state, and the engine's
+  // own image is that encoding.
+  const std::string reference = oracle::EngineCheckpointBytes(*parsed);
+  hierarchy::bin::ByteWriter out;
+  WriteEngineCheckpoint(*parsed, out);
+  EXPECT_TRUE(out.bytes() == reference);
+  EXPECT_TRUE(bytes == reference);
+
+  // The reader parses the oracle's bytes back to the same state.
+  auto reparsed = ReadEngineCheckpoint(reference);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_TRUE(oracle::EngineCheckpointBytes(*reparsed) == reference);
+  for (const EngineCheckpoint::SensorState& sensor : reparsed->sensors) {
+    EXPECT_EQ(sensor.health.sensor_id, sensor.sensor_id);
+    EXPECT_EQ(sensor.health.level, sensor.level);
+  }
+
+  // The stream adapters are the same codec: one write, read to the end.
+  std::istringstream is(reference);
+  auto streamed = ReadEngineCheckpoint(is);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_TRUE(oracle::EngineCheckpointBytes(*streamed) == reference);
+  std::ostringstream os;
+  ASSERT_TRUE(WriteEngineCheckpoint(*reparsed, os).ok());
+  EXPECT_TRUE(os.str() == reference);
+}
+
+TEST(EngineCheckpoint, FileImageEqualsStreamImageAndRestoresFromASpan) {
+  StreamEngineOptions options = RichOptions();
+  StreamEngine engine(options);
+  BuildRichEngine(engine);
+  const std::string path = ::testing::TempDir() + "/rich_image.ckpt";
+  std::remove(path.c_str());
+  const std::string first = CheckpointBytes(engine);
+  ASSERT_TRUE(engine.CheckpointToFile(path).ok());
+  std::ifstream file(path, std::ios::binary);
+  const std::string on_disk = hierarchy::bin::ReadToEnd(file);
+  EXPECT_TRUE(on_disk == first);
+  // The second image reserves from the first; only the written-image
+  // counter moved in between.
+  const std::string second = CheckpointBytes(engine);
+  ASSERT_TRUE(engine.CheckpointToFile(path).ok());
+  std::ifstream again(path, std::ios::binary);
+  EXPECT_TRUE(hierarchy::bin::ReadToEnd(again) == second);
+
+  // The span and stream entry points restore the same engine.
+  auto from_span = StreamEngine::Restore(on_disk, options);
+  ASSERT_TRUE(from_span.ok()) << from_span.status().ToString();
+  std::istringstream is(on_disk);
+  auto from_stream = StreamEngine::Restore(is, options);
+  ASSERT_TRUE(from_stream.ok()) << from_stream.status().ToString();
+  EXPECT_TRUE(CheckpointBytes(**from_span) == CheckpointBytes(**from_stream));
+  std::remove(path.c_str());
 }
 
 }  // namespace
