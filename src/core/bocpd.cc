@@ -1,14 +1,22 @@
 #include "core/bocpd.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
 
 namespace hod::core {
 
 namespace {
 
 constexpr double kSigmaFloor = 1e-9;
+
+/// Buckets per pass of the grow step: its per-bucket scratch lives on the
+/// stack, so a posterior longer than this is grown in several blocks.
+constexpr size_t kGrowBlock = 64;
 
 /// Log-gamma without the libm `signgam` global: `std::lgamma` stores the
 /// sign there, which is a data race when shard workers score concurrently.
@@ -22,22 +30,64 @@ double LogGamma(double x) {
 #endif
 }
 
-/// Student-t density with `df` degrees of freedom, location `mean`,
-/// scale `scale` — the Normal-Gamma posterior predictive. The caller
-/// supplies `log_gamma_upper` = LogGamma((df + 1) / 2) and
-/// `log_gamma_lower` = LogGamma(df / 2).
-double StudentTPdf(double x, double df, double mean, double scale,
-                   double log_gamma_upper, double log_gamma_lower) {
-  const double z = (x - mean) / scale;
-  const double log_pdf = log_gamma_upper - log_gamma_lower -
-                         0.5 * std::log(df * M_PI) - std::log(scale) -
-                         (df + 1.0) * 0.5 * std::log1p(z * z / df);
-  return std::exp(log_pdf);
+/// The alpha-only prefix of a bucket's Student-t log-density (the
+/// Normal-Gamma posterior predictive, df = 2 * alpha):
+/// LogGamma((df + 1) / 2) - LogGamma(df / 2) - 0.5 * log(df * pi), in the
+/// operation order of the full log-density it starts.
+double PredictivePrefix(double alpha) {
+  const double df = 2.0 * alpha;
+  return LogGamma((df + 1.0) * 0.5) - LogGamma(df * 0.5) -
+         0.5 * std::log(df * M_PI);
 }
 
 bool FinitePositive(double v) { return std::isfinite(v) && v > 0.0; }
 
 }  // namespace
+
+/// PredictivePrefix on the grid alpha_m = alpha_{m-1} + 0.5 from one
+/// prior alpha. The grid is built with the same addition a bucket's grow
+/// step makes, so a bucket's alpha either equals a grid value exactly and
+/// takes its prefix, or it computes the prefix itself; both give the same
+/// bits.
+struct BocpdDetector::AlphaTable {
+  std::array<double, kAlphaTableEntries> alpha;
+  std::array<double, kAlphaTableEntries> prefix;
+
+  explicit AlphaTable(double prior_alpha) {
+    double a = prior_alpha;
+    for (size_t m = 0; m < kAlphaTableEntries; ++m) {
+      alpha[m] = a;
+      prefix[m] = PredictivePrefix(a);
+      a = a + 0.5;
+    }
+  }
+
+  double Prefix(double a) const {
+    // Nearest grid index, range-checked before the cast (NaN fails too).
+    const double position = (a - alpha[0]) * 2.0 + 0.5;
+    if (position >= 0.0 &&
+        position < static_cast<double>(kAlphaTableEntries)) {
+      const size_t m = static_cast<size_t>(position);
+      if (alpha[m] == a) return prefix[m];
+    }
+    return PredictivePrefix(a);
+  }
+
+  /// The table for `prior_alpha`, built on first use and kept for the
+  /// life of the process (one per distinct prior).
+  static const AlphaTable* Shared(double prior_alpha) {
+    static std::mutex mu;
+    // Never destroyed: a detector still pushing during static destruction
+    // (a pool thread at exit) keeps a valid table.
+    static auto* tables =
+        new std::map<uint64_t, std::unique_ptr<const AlphaTable>>();
+    std::lock_guard<std::mutex> lock(mu);
+    std::unique_ptr<const AlphaTable>& table =
+        (*tables)[std::bit_cast<uint64_t>(prior_alpha)];
+    if (!table) table = std::make_unique<AlphaTable>(prior_alpha);
+    return table.get();
+  }
+};
 
 BocpdDetector::BocpdDetector(BocpdOptions options) : options_(options) {
   if (!(options_.hazard_lambda > 1.0)) options_.hazard_lambda = 250.0;
@@ -52,50 +102,29 @@ BocpdDetector::BocpdDetector(BocpdOptions options) : options_(options) {
   if (!FinitePositive(options_.prior_kappa)) options_.prior_kappa = 1.0;
   if (!FinitePositive(options_.prior_alpha)) options_.prior_alpha = 1.0;
   if (!FinitePositive(options_.prior_beta)) options_.prior_beta = 1.0;
-  // A restored posterior may hold max_run_length + 1 buckets, and a step
-  // grows it by one before truncating.
+  alpha_table_ = AlphaTable::Shared(options_.prior_alpha);
   const size_t cap = options_.max_run_length + 2;
-  weight_.reserve(cap);
-  mu_.reserve(cap);
-  kappa_.reserve(cap);
-  alpha_.reserve(cap);
-  beta_.reserve(cap);
-  run_length_.reserve(cap);
-  log_gamma_alpha_.reserve(cap);
+  weight_.resize(cap);
+  mu_.resize(cap);
+  kappa_.resize(cap);
+  alpha_.resize(cap);
+  beta_.resize(cap);
+  run_length_.resize(cap);
 }
 
 void BocpdDetector::Rebase(double mean, double kappa, double alpha,
-                           double beta, uint64_t run_length,
-                           double log_gamma_alpha) {
-  weight_.assign(1, 1.0);
-  mu_.assign(1, mean);
-  kappa_.assign(1, kappa);
-  alpha_.assign(1, alpha);
-  beta_.assign(1, beta);
-  run_length_.assign(1, run_length);
-  log_gamma_alpha_.assign(1, log_gamma_alpha);
-}
-
-void BocpdDetector::ResizeBuckets(size_t n) {
-  weight_.resize(n);
-  mu_.resize(n);
-  kappa_.resize(n);
-  alpha_.resize(n);
-  beta_.resize(n);
-  run_length_.resize(n);
-  log_gamma_alpha_.resize(n);
+                           double beta, uint64_t run_length) {
+  buckets_ = 1;
+  weight_[0] = 1.0;
+  mu_[0] = mean;
+  kappa_[0] = kappa;
+  alpha_[0] = alpha;
+  beta_[0] = beta;
+  run_length_[0] = run_length;
 }
 
 std::optional<BocpdShift> BocpdDetector::Push(double value) {
   if (!std::isfinite(value)) return std::nullopt;
-  if (!log_gamma_ready_) {
-    log_gamma_prior_alpha_ = LogGamma(options_.prior_alpha);
-    log_gamma_alpha_.resize(alpha_.size());
-    for (size_t i = 0; i < alpha_.size(); ++i) {
-      log_gamma_alpha_[i] = LogGamma(alpha_[i]);
-    }
-    log_gamma_ready_ = true;
-  }
   if (!prior_seeded_) {
     // Empirical prior: center the Normal-Gamma on the first sample so
     // absolute data scale (a channel living at 100.0) does not read as a
@@ -103,93 +132,121 @@ std::optional<BocpdShift> BocpdDetector::Push(double value) {
     prior_seeded_ = true;
     prior_mean_ = value;
     Rebase(prior_mean_, options_.prior_kappa, options_.prior_alpha,
-           options_.prior_beta, 0, log_gamma_prior_alpha_);
+           options_.prior_beta, 0);
   }
   ++samples_seen_;
 
-  const double hazard = 1.0 / options_.hazard_lambda;
-  const size_t n = weight_.size();
-  ResizeBuckets(n + 1);
-  // Growth, in place: bucket i absorbs the sample and moves to slot i + 1.
-  // Walking downward reads each bucket before its slot is overwritten;
-  // slot i + 1 holds bucket i's unnormalized mass until the sums below.
-  // The predictive's LogGamma((df + 1) / 2) is exactly LogGamma(alpha +
-  // 0.5), the grown bucket's LogGamma(df / 2) on the next step, so it is
-  // carried along instead of recomputed.
-  for (size_t i = n; i-- > 0;) {
-    const double mu = mu_[i];
-    const double kappa = kappa_[i];
-    const double alpha = alpha_[i];
-    const double beta = beta_[i];
-    const double scale = std::sqrt(
-        std::max(beta * (kappa + 1.0) / (alpha * kappa),
-                 kSigmaFloor * kSigmaFloor));
-    const double df = 2.0 * alpha;
-    const double log_gamma_upper = LogGamma((df + 1.0) * 0.5);
-    const double pred = StudentTPdf(value, df, mu, scale, log_gamma_upper,
-                                    log_gamma_alpha_[i]);
-    weight_[i + 1] = weight_[i] * pred;
-    mu_[i + 1] = (kappa * mu + value) / (kappa + 1.0);
-    kappa_[i + 1] = kappa + 1.0;
-    alpha_[i + 1] = alpha + 0.5;
-    beta_[i + 1] =
-        beta + kappa * (value - mu) * (value - mu) / (2.0 * (kappa + 1.0));
-    run_length_[i + 1] = run_length_[i] + 1;
-    log_gamma_alpha_[i + 1] = log_gamma_upper;
+  // Growth, in place: bucket i absorbs the sample and moves to slot
+  // i + 1, and its mass (weight times the Student-t predictive) stays in
+  // slot i until the sums below. Each block of buckets runs as passes:
+  // the alpha-table prefix (read before the grow pass overwrites alpha),
+  // the IEEE arithmetic, then one tight loop per libm call. The grow pass
+  // walks down, reading each bucket before the one below grows into its
+  // slot; blocks go from the top down for the same reason.
+  const size_t n = buckets_;
+  for (size_t hi = n; hi > 0;) {
+    const size_t lo = hi > kGrowBlock ? hi - kGrowBlock : 0;
+    const size_t count = hi - lo;
+    double prefix[kGrowBlock];
+    double scale[kGrowBlock];
+    double ratio[kGrowBlock];
+    double half[kGrowBlock];
+    for (size_t j = 0; j < count; ++j) {
+      prefix[j] = alpha_table_->Prefix(alpha_[lo + j]);
+    }
+    for (size_t j = count; j-- > 0;) {
+      const size_t i = lo + j;
+      const double mu = mu_[i];
+      const double kappa = kappa_[i];
+      const double alpha = alpha_[i];
+      const double beta = beta_[i];
+      scale[j] = std::sqrt(std::max(beta * (kappa + 1.0) / (alpha * kappa),
+                                    kSigmaFloor * kSigmaFloor));
+      const double df = 2.0 * alpha;
+      const double z = (value - mu) / scale[j];
+      ratio[j] = z * z / df;
+      half[j] = (df + 1.0) * 0.5;
+      mu_[i + 1] = (kappa * mu + value) / (kappa + 1.0);
+      kappa_[i + 1] = kappa + 1.0;
+      alpha_[i + 1] = alpha + 0.5;
+      beta_[i + 1] =
+          beta + kappa * (value - mu) * (value - mu) / (2.0 * (kappa + 1.0));
+    }
+    for (size_t j = 0; j < count; ++j) scale[j] = std::log(scale[j]);
+    for (size_t j = 0; j < count; ++j) ratio[j] = std::log1p(ratio[j]);
+    for (size_t j = 0; j < count; ++j) {
+      weight_[lo + j] *= std::exp(prefix[j] - scale[j] - half[j] * ratio[j]);
+    }
+    hi = lo;
   }
+  for (size_t i = n; i-- > 0;) run_length_[i + 1] = run_length_[i] + 1;
+
   // Each growth keeps (1 - hazard) of its mass; the changepoint slot
-  // r = 0 (prior stats) collects the rest. Both sums run oldest bucket
-  // first: floating-point addition is not associative, and this order
-  // is what keeps the posterior bit-identical to the two-array form.
+  // r = 0 (prior stats) collects the rest. Both sums run in bucket order,
+  // shortest run first: floating-point addition is not associative, and
+  // this order keeps the posterior bit-identical to the two-array form.
+  const double hazard = 1.0 / options_.hazard_lambda;
   double normalizer = 0.0;
   double changepoint = 0.0;
-  for (size_t i = 1; i <= n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const double mass = weight_[i];
-    weight_[i] = mass * (1.0 - hazard);
     changepoint += mass * hazard;
     normalizer += mass;
   }
-  weight_[0] = changepoint;
-  mu_[0] = prior_mean_;
-  kappa_[0] = options_.prior_kappa;
-  alpha_[0] = options_.prior_alpha;
-  beta_[0] = options_.prior_beta;
-  run_length_[0] = 0;
-  log_gamma_alpha_[0] = log_gamma_prior_alpha_;
 
   if (!(normalizer > 0.0) || !std::isfinite(normalizer)) {
     // Every predictive underflowed (a sample absurdly far from every
     // regime). Restart the posterior at the observed value — the only
     // deterministic recovery that keeps scoring meaningful.
     Rebase(value, options_.prior_kappa, options_.prior_alpha,
-           options_.prior_beta, 0, log_gamma_prior_alpha_);
+           options_.prior_beta, 0);
   } else {
-    for (auto& w : weight_) w /= normalizer;
+    for (size_t i = n; i-- > 0;) {
+      weight_[i + 1] = weight_[i] * (1.0 - hazard) / normalizer;
+    }
+    weight_[0] = changepoint / normalizer;
+    mu_[0] = prior_mean_;
+    kappa_[0] = options_.prior_kappa;
+    alpha_[0] = options_.prior_alpha;
+    beta_[0] = options_.prior_beta;
+    run_length_[0] = 0;
+    buckets_ = n + 1;
     // Constant-memory truncation: merge the two longest-run buckets
     // (weights add, the longer run's statistics win — they summarize
     // strictly more data).
-    if (weight_.size() > options_.max_run_length) {
-      for (size_t last = weight_.size() - 1;
-           last >= options_.max_run_length; --last) {
-        weight_[last - 1] += weight_[last];
-        mu_[last - 1] = mu_[last];
-        kappa_[last - 1] = kappa_[last];
-        alpha_[last - 1] = alpha_[last];
-        beta_[last - 1] = beta_[last];
-        run_length_[last - 1] = run_length_[last];
-        log_gamma_alpha_[last - 1] = log_gamma_alpha_[last];
+    for (; buckets_ > options_.max_run_length; --buckets_) {
+      const size_t last = buckets_ - 1;
+      weight_[last - 1] += weight_[last];
+      mu_[last - 1] = mu_[last];
+      kappa_[last - 1] = kappa_[last];
+      alpha_[last - 1] = alpha_[last];
+      beta_[last - 1] = beta_[last];
+      run_length_[last - 1] = run_length_[last];
+    }
+  }
+
+  // One walk for the overall MAP bucket and the posterior mass on "a
+  // changepoint happened recently" (runs <= min_run_for_shift, with the
+  // MAP bucket among recent runs >= 1).
+  size_t map_idx = 0;
+  double recent_mass = 0.0;
+  size_t best_recent = 0;
+  bool have_recent = false;
+  for (size_t i = 0; i < buckets_; ++i) {
+    const double w = weight_[i];
+    if (w > weight_[map_idx]) map_idx = i;
+    if (run_length_[i] <= options_.min_run_for_shift) {
+      recent_mass += w;
+      if (run_length_[i] >= 1 && (!have_recent || w > weight_[best_recent])) {
+        best_recent = i;
+        have_recent = true;
       }
-      ResizeBuckets(options_.max_run_length);
     }
   }
 
   // Track the last established regime: the overall MAP bucket, when its
   // run is long enough to count as "settled". This is the `before` side
   // of any future confirmed shift.
-  size_t map_idx = 0;
-  for (size_t i = 1; i < weight_.size(); ++i) {
-    if (weight_[i] > weight_[map_idx]) map_idx = i;
-  }
   if (run_length_[map_idx] >= 2 * options_.min_run_for_shift) {
     stable_mean_ = mu_[map_idx];
     stable_sigma_ = std::max(std::sqrt(beta_[map_idx] / alpha_[map_idx]),
@@ -203,21 +260,6 @@ std::optional<BocpdShift> BocpdDetector::Push(double value) {
   }
   if (samples_seen_ <= options_.warmup || stable_support_ == 0) {
     return std::nullopt;
-  }
-
-  // Posterior mass on "a changepoint happened recently".
-  double recent_mass = 0.0;
-  size_t best_recent = 0;  // MAP bucket among recent runs >= 1
-  bool have_recent = false;
-  for (size_t i = 0; i < weight_.size(); ++i) {
-    if (run_length_[i] <= options_.min_run_for_shift) {
-      recent_mass += weight_[i];
-      if (run_length_[i] >= 1 &&
-          (!have_recent || weight_[i] > weight_[best_recent])) {
-        best_recent = i;
-        have_recent = true;
-      }
-    }
   }
   if (recent_mass < options_.shift_posterior || !have_recent) {
     return std::nullopt;
@@ -251,8 +293,7 @@ std::optional<BocpdShift> BocpdDetector::Push(double value) {
   // Exactly-once: collapse onto the confirmed post-shift regime and hold
   // off until it has had time to establish itself.
   Rebase(mu_[best_recent], kappa_[best_recent], alpha_[best_recent],
-         beta_[best_recent], run_length_[best_recent],
-         log_gamma_alpha_[best_recent]);
+         beta_[best_recent], run_length_[best_recent]);
   stable_mean_ = after_mean;
   stable_sigma_ = after_sigma;
   stable_support_ = run_length_[0];
@@ -263,16 +304,16 @@ std::optional<BocpdShift> BocpdDetector::Push(double value) {
 
 double BocpdDetector::shift_mass() const {
   double mass = 0.0;
-  for (size_t i = 0; i < weight_.size(); ++i) {
+  for (size_t i = 0; i < buckets_; ++i) {
     if (run_length_[i] <= options_.min_run_for_shift) mass += weight_[i];
   }
   return mass;
 }
 
 size_t BocpdDetector::map_run_length() const {
-  if (weight_.empty()) return 0;
+  if (buckets_ == 0) return 0;
   size_t map_idx = 0;
-  for (size_t i = 1; i < weight_.size(); ++i) {
+  for (size_t i = 1; i < buckets_; ++i) {
     if (weight_[i] > weight_[map_idx]) map_idx = i;
   }
   return static_cast<size_t>(run_length_[map_idx]);
@@ -280,12 +321,13 @@ size_t BocpdDetector::map_run_length() const {
 
 BocpdState BocpdDetector::SaveState() const {
   BocpdState state;
-  state.weight = weight_;
-  state.mu = mu_;
-  state.kappa = kappa_;
-  state.alpha = alpha_;
-  state.beta = beta_;
-  state.run_length = run_length_;
+  state.weight.assign(weight_.begin(), weight_.begin() + buckets_);
+  state.mu.assign(mu_.begin(), mu_.begin() + buckets_);
+  state.kappa.assign(kappa_.begin(), kappa_.begin() + buckets_);
+  state.alpha.assign(alpha_.begin(), alpha_.begin() + buckets_);
+  state.beta.assign(beta_.begin(), beta_.begin() + buckets_);
+  state.run_length.assign(run_length_.begin(),
+                          run_length_.begin() + buckets_);
   state.samples_seen = samples_seen_;
   state.shifts_confirmed = shifts_confirmed_;
   state.cooldown_left = cooldown_left_;
@@ -326,13 +368,16 @@ Status BocpdDetector::RestoreState(const BocpdState& state) {
       !FinitePositive(state.stable_sigma)) {
     return Status::InvalidArgument("bocpd state: non-finite regime");
   }
-  weight_ = state.weight;
-  for (auto& w : weight_) w /= (n > 0 ? sum : 1.0);
-  mu_ = state.mu;
-  kappa_ = state.kappa;
-  alpha_ = state.alpha;
-  beta_ = state.beta;
-  run_length_ = state.run_length;
+  // Installed verbatim, so a restore is byte-identical to the saved
+  // state; the next Push normalizes whatever mass it finds.
+  buckets_ = n;
+  std::copy(state.weight.begin(), state.weight.end(), weight_.begin());
+  std::copy(state.mu.begin(), state.mu.end(), mu_.begin());
+  std::copy(state.kappa.begin(), state.kappa.end(), kappa_.begin());
+  std::copy(state.alpha.begin(), state.alpha.end(), alpha_.begin());
+  std::copy(state.beta.begin(), state.beta.end(), beta_.begin());
+  std::copy(state.run_length.begin(), state.run_length.end(),
+            run_length_.begin());
   samples_seen_ = state.samples_seen;
   shifts_confirmed_ = state.shifts_confirmed;
   cooldown_left_ = state.cooldown_left;
@@ -341,9 +386,6 @@ Status BocpdDetector::RestoreState(const BocpdState& state) {
   stable_mean_ = state.stable_mean;
   stable_sigma_ = std::max(state.stable_sigma, kSigmaFloor);
   stable_support_ = state.stable_support;
-  // The log-gamma cache is refilled by the next Push: a restore that is
-  // never fed (a fleet restart's idle lanes) costs no lgamma call.
-  log_gamma_ready_ = false;
   return Status::Ok();
 }
 

@@ -12,7 +12,7 @@ namespace hod::core {
 
 /// Tuning for the Bayesian online changepoint detector (Adams & MacKay
 /// 2007) with a Normal-Gamma conjugate observation model. Defaults are
-/// sized for per-sensor streaming: ~4 KiB of state, O(max_run_length)
+/// sized for per-sensor streaming: ~3.4 KiB of state, O(max_run_length)
 /// work per sample, no allocation after construction.
 struct BocpdOptions {
   /// Expected run length between changepoints; hazard = 1/lambda per
@@ -100,6 +100,14 @@ struct BocpdState {
 /// identical sample sequences on any thread/backend.
 class BocpdDetector {
  public:
+  /// Grid points in the shared per-prior alpha table: alpha_0 =
+  /// prior_alpha and alpha_m = alpha_{m-1} + 0.5, the alphas a bucket
+  /// reaches m samples after the prior. A bucket whose alpha is off the
+  /// grid (a restored foreign state, or the merged oldest bucket after
+  /// this many samples without a rebase) computes its log-gamma terms
+  /// directly, with the same result.
+  static constexpr size_t kAlphaTableEntries = 256;
+
   explicit BocpdDetector(BocpdOptions options = {});
 
   /// Feeds one sample; returns the confirmed shift, if this sample
@@ -115,32 +123,33 @@ class BocpdDetector {
   const BocpdOptions& options() const { return options_; }
 
   BocpdState SaveState() const;
-  /// Restores a saved posterior. Rejects malformed states (length
-  /// mismatches, non-finite or non-positive weights/parameters).
+  /// Restores a saved posterior verbatim (the next Push normalizes it).
+  /// Rejects malformed states (length mismatches, non-finite or
+  /// non-positive weights/parameters, zero total mass).
   Status RestoreState(const BocpdState& state);
 
  private:
+  struct AlphaTable;
+
   /// Collapses the posterior to a single bucket at the given regime
   /// (used on confirm; also the seeded-restart primitive).
   void Rebase(double mean, double kappa, double alpha, double beta,
-              uint64_t run_length, double log_gamma_alpha);
-  /// Resizes every parallel bucket array to `n` buckets.
-  void ResizeBuckets(size_t n);
+              uint64_t run_length);
 
   BocpdOptions options_;
-  // Parallel bucket arrays, index 0 .. buckets-1. weight_ sums to 1.
+  // Immutable, shared by every detector with this prior_alpha.
+  const AlphaTable* alpha_table_ = nullptr;
+  // Parallel bucket arrays, sized once at construction to
+  // `max_run_length + 2` (a restored posterior may hold max_run_length + 1,
+  // and a step grows it by one before truncating); buckets 0 .. buckets_-1
+  // are live and weight_ sums to 1 after every Push.
+  size_t buckets_ = 0;
   std::vector<double> weight_;
   std::vector<double> mu_;
   std::vector<double> kappa_;
   std::vector<double> alpha_;
   std::vector<double> beta_;
   std::vector<uint64_t> run_length_;
-  // LogGamma(alpha_[i]), carried from step to step (derived state, not
-  // checkpointed). Valid only while log_gamma_ready_: construction and
-  // RestoreState clear the flag, and the next Push refills the cache.
-  std::vector<double> log_gamma_alpha_;
-  double log_gamma_prior_alpha_ = 0.0;
-  bool log_gamma_ready_ = false;
 
   uint64_t samples_seen_ = 0;
   uint64_t shifts_confirmed_ = 0;

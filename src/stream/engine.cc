@@ -358,7 +358,22 @@ Status StreamEngine::Checkpoint(std::ostream& os) const {
   }
   EngineCheckpoint checkpoint;
   HOD_RETURN_IF_ERROR(FillCheckpoint(checkpoint));
-  return WriteEngineCheckpoint(checkpoint, os);
+  const std::string image = EncodeImage(checkpoint);
+  os.write(image.data(), static_cast<std::streamsize>(image.size()));
+  if (!os.good()) return Status::Internal("checkpoint stream write failed");
+  return Status::Ok();
+}
+
+std::string StreamEngine::EncodeImage(
+    const EngineCheckpoint& checkpoint) const {
+  // Reserve from the previous image (with a little headroom for growth);
+  // before any image the writer grows as it goes.
+  hierarchy::bin::ByteWriter image;
+  const size_t last_bytes = last_image_bytes_.load(std::memory_order_relaxed);
+  image.Reserve(last_bytes + last_bytes / 16);
+  WriteEngineCheckpoint(checkpoint, image);
+  last_image_bytes_.store(image.size(), std::memory_order_relaxed);
+  return image.Release();
 }
 
 Status StreamEngine::CheckpointToFile(const std::string& path) {
@@ -405,15 +420,10 @@ Status StreamEngine::CheckpointToFile(const std::string& path) {
     HOD_RETURN_IF_ERROR(FillCheckpoint(checkpoint));
   }
 
-  // Serialize into one buffer sized from the previous image (with a little
-  // headroom for growth), then publish crash-safely: one write beside the
-  // target and a rename over it, so readers only ever see a complete
-  // checkpoint.
-  hierarchy::bin::ByteWriter image;
-  const size_t last_bytes = last_image_bytes_.load(std::memory_order_relaxed);
-  image.Reserve(last_bytes + last_bytes / 16);
-  WriteEngineCheckpoint(checkpoint, image);
-  last_image_bytes_.store(image.size(), std::memory_order_relaxed);
+  // Serialize into one buffer, then publish crash-safely: one write
+  // beside the target and a rename over it, so readers only ever see a
+  // complete checkpoint.
+  const std::string image = EncodeImage(checkpoint);
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
@@ -421,8 +431,7 @@ Status StreamEngine::CheckpointToFile(const std::string& path) {
       stats_.Add(Counter::checkpoint_failures);
       return Status::InvalidArgument("cannot open checkpoint file: " + tmp);
     }
-    os.write(image.bytes().data(),
-             static_cast<std::streamsize>(image.size()));
+    os.write(image.data(), static_cast<std::streamsize>(image.size()));
     os.flush();
     if (!os.good()) {
       stats_.Add(Counter::checkpoint_failures);

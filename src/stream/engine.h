@@ -482,6 +482,9 @@ class StreamEngine {
   void IngestPendingFindings();
 
   Status FillCheckpoint(EngineCheckpoint& checkpoint) const;
+  /// Encodes one checkpoint image into a buffer reserved from the last
+  /// image's size and records the new image's size.
+  std::string EncodeImage(const EngineCheckpoint& checkpoint) const;
   Status ApplyCheckpoint(const EngineCheckpoint& checkpoint);
 
   StreamEngineOptions options_;
@@ -517,9 +520,9 @@ class StreamEngine {
   /// draining and serializing.
   mutable std::shared_mutex ingest_gate_;
   const bool checkpoint_gate_enabled_;
-  /// Size of the last image this engine wrote to a file or was restored
-  /// from: CheckpointToFile reserves its buffer from it.
-  std::atomic<size_t> last_image_bytes_{0};
+  /// Size of the last image this engine wrote or was restored from:
+  /// Checkpoint and CheckpointToFile reserve their buffer from it.
+  mutable std::atomic<size_t> last_image_bytes_{0};
 
   /// Watchdog state: per-shard stall flags (read by stats()).
   std::vector<std::atomic<uint8_t>> stalled_;

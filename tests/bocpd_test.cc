@@ -203,7 +203,8 @@ TEST(BocpdDetector, SurvivesExtremeValuesWithoutNonFiniteState) {
 // ---------------------------------------------------------------------------
 // Oracle: the detector as it was before the log-gamma cache and the in-place
 // grow step — two LogGamma calls per bucket per sample and a second set of
-// bucket arrays for the grown posterior. Matched bit for bit below.
+// bucket arrays for the grown posterior. Matched bit for bit below. It
+// also counts which predictives the detector's shared alpha table covers.
 
 double OracleLogGamma(double x) {
 #if defined(__GLIBC__) || defined(__APPLE__) || defined(_GNU_SOURCE)
@@ -238,6 +239,11 @@ class OracleBocpd {
     if (!Positive(options_.prior_kappa)) options_.prior_kappa = 1.0;
     if (!Positive(options_.prior_alpha)) options_.prior_alpha = 1.0;
     if (!Positive(options_.prior_beta)) options_.prior_beta = 1.0;
+    double alpha = options_.prior_alpha;
+    for (size_t m = 0; m < BocpdDetector::kAlphaTableEntries; ++m) {
+      alpha_grid_.push_back(alpha);
+      alpha = alpha + 0.5;
+    }
   }
 
   std::optional<BocpdShift> Push(double value) {
@@ -261,6 +267,12 @@ class OracleBocpd {
     next_run_length[0] = 0;
     double normalizer = 0.0;
     for (size_t i = 0; i < n; ++i) {
+      if (std::binary_search(alpha_grid_.begin(), alpha_grid_.end(),
+                             alpha_[i])) {
+        ++table_hits_;
+      } else {
+        ++table_fallbacks_;
+      }
       const double scale = std::sqrt(
           std::max(beta_[i] * (kappa_[i] + 1.0) / (alpha_[i] * kappa_[i]),
                    kFloor * kFloor));
@@ -398,12 +410,9 @@ class OracleBocpd {
   }
 
   /// Restores a state BocpdDetector::RestoreState accepts (the caller
-  /// checks that), with the same weight renormalization.
+  /// checks that), verbatim: the next Push normalizes the weights.
   void RestoreState(const BocpdState& state) {
-    double sum = 0.0;
-    for (double w : state.weight) sum += w;
     weight_ = state.weight;
-    for (auto& w : weight_) w /= (state.weight.empty() ? 1.0 : sum);
     mu_ = state.mu;
     kappa_ = state.kappa;
     alpha_ = state.alpha;
@@ -420,6 +429,11 @@ class OracleBocpd {
 
   size_t underflow_restarts() const { return underflow_restarts_; }
   size_t merges() const { return merges_; }
+  /// Predictives whose bucket alpha lies on the detector's shared grid
+  /// (prior_alpha, then + 0.5 per step, kAlphaTableEntries points) and
+  /// those whose alpha is off it, so the table covers neither.
+  size_t table_hits() const { return table_hits_; }
+  size_t table_fallbacks() const { return table_fallbacks_; }
 
  private:
   static constexpr double kFloor = 1e-9;
@@ -447,6 +461,9 @@ class OracleBocpd {
   uint64_t stable_support_ = 0;
   size_t underflow_restarts_ = 0;
   size_t merges_ = 0;
+  std::vector<double> alpha_grid_;
+  size_t table_hits_ = 0;
+  size_t table_fallbacks_ = 0;
 };
 
 uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
@@ -575,6 +592,95 @@ TEST(BocpdDetector, MatchesUncachedOracleOn1000SeededSequences) {
   EXPECT_GT(restarts, 500u);
   EXPECT_GT(restores, 800u);
   EXPECT_GT(merges, 100000u);
+}
+
+/// A restore installs the saved posterior as it is, even one whose weights
+/// do not sum to 1, so saving it again gives the same bits.
+TEST(BocpdDetector, RestoreInstallsTheSavedStateVerbatim) {
+  BocpdDetector source;
+  const std::vector<double> values = MakeStepStream(61, 150, 90, 5.0, 0.2, 3);
+  for (double value : values) (void)source.Push(value);
+  BocpdState state = source.SaveState();
+  ASSERT_GT(state.weight.size(), 2u);
+  state.weight[1] *= 3.0;  // unnormalized mass
+  BocpdDetector restored;
+  ASSERT_TRUE(restored.RestoreState(state).ok());
+  ExpectSameState(restored.SaveState(), state, "restored");
+}
+
+/// The oracle again, over the shared alpha table's edges: priors whose
+/// grid is exact in binary (1, 7.25) and ones that round at every step
+/// (0.3, 1/3, 1e-3); stationary runs long enough for the merged oldest
+/// bucket to leave the grid; and a mid-stream restore of a posterior
+/// saved under another prior_alpha, so every restored bucket is off the
+/// grid. Both table paths must be taken and give the same bits.
+TEST(BocpdDetector, MatchesOracleAcrossPriorAlphasAndOffGridBuckets) {
+  const double priors[] = {1.0, 0.3, 1.0 / 3.0, 1e-3, 7.25};
+  size_t hits = 0;
+  size_t fallbacks = 0;
+  size_t long_run_fallbacks = 0;  // before any restore: merged bucket only
+  size_t shifts = 0;
+  for (size_t p = 0; p < std::size(priors); ++p) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng rng(100 * p + seed);
+      BocpdOptions options;
+      options.max_run_length = 8 + rng.NextBelow(64);
+      options.hazard_lambda = rng.Uniform(50.0, 400.0);
+      options.prior_alpha = priors[p];
+      options.prior_beta = rng.Uniform(0.05, 2.0);
+      options.prior_kappa = rng.Uniform(0.2, 3.0);
+      BocpdOptions foreign_options = options;
+      foreign_options.prior_alpha = priors[(p + 1) % std::size(priors)];
+
+      BocpdDetector detector(options);
+      OracleBocpd oracle(options);
+      BocpdDetector foreign(foreign_options);
+      const double sigma = rng.Uniform(0.1, 2.0);
+      double level = rng.Uniform(-50.0, 50.0);
+      // A stationary stretch of twice the grid, then a foreign restore,
+      // then level steps (confirms and rebases), then another long
+      // stationary stretch.
+      const size_t long_run = 2 * BocpdDetector::kAlphaTableEntries;
+      const size_t restore_at = long_run;
+      const size_t steps_end = long_run + 200;
+      const size_t total = steps_end + long_run;
+      uint64_t oracle_shifts = 0;
+      for (size_t step = 0; step < total; ++step) {
+        const std::string where = "prior " + std::to_string(priors[p]) +
+                                  " seed " + std::to_string(seed) + " step " +
+                                  std::to_string(step);
+        if (step == restore_at) {
+          long_run_fallbacks += oracle.table_fallbacks();
+          const BocpdState state = foreign.SaveState();
+          ASSERT_TRUE(detector.RestoreState(state).ok()) << where;
+          oracle.RestoreState(state);
+          oracle_shifts = state.shifts_confirmed;
+        }
+        if (step >= restore_at && step < steps_end && step % 50 == 0) {
+          level += 10.0 * sigma;
+        }
+        const double value = level + rng.Gaussian(0.0, sigma);
+        (void)foreign.Push(value + 3.0 * sigma);
+        const std::optional<BocpdShift> got = detector.Push(value);
+        const std::optional<BocpdShift> want = oracle.Push(value);
+        ExpectSameShift(got, want, where);
+        if (want.has_value()) ++oracle_shifts;
+        EXPECT_EQ(Bits(detector.shift_mass()), Bits(oracle.shift_mass()))
+            << where;
+        if (::testing::Test::HasFailure()) return;
+      }
+      ExpectSameState(detector.SaveState(), oracle.SaveState(oracle_shifts),
+                      "end");
+      if (::testing::Test::HasFailure()) return;
+      hits += oracle.table_hits();
+      fallbacks += oracle.table_fallbacks();
+      shifts += oracle_shifts;
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(long_run_fallbacks, 0u);
+  EXPECT_GT(fallbacks, long_run_fallbacks);
+  EXPECT_GT(shifts, 0u);
 }
 
 }  // namespace

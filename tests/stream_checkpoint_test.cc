@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -1105,6 +1106,37 @@ TEST(EngineCheckpoint, FileImageEqualsStreamImageAndRestoresFromASpan) {
   ASSERT_TRUE(from_stream.ok()) << from_stream.status().ToString();
   EXPECT_TRUE(CheckpointBytes(**from_span) == CheckpointBytes(**from_stream));
   std::remove(path.c_str());
+}
+
+/// Restore installs every section as it was saved, BOCPD posteriors
+/// included, so checkpointing the restored engine gives the same image.
+TEST(EngineCheckpoint, RestoredRichEngineCheckpointsByteIdentically) {
+  const StreamEngineOptions options = RichOptions();
+  StreamEngine engine(options);
+  BuildRichEngine(engine);
+  const std::string image = CheckpointBytes(engine);
+  auto restored = StreamEngine::Restore(image, options);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const std::string again = CheckpointBytes(**restored);
+  ASSERT_EQ(again.size(), image.size());
+  const auto diverged =
+      std::mismatch(image.begin(), image.end(), again.begin()).first;
+  EXPECT_TRUE(diverged == image.end())
+      << "first differing byte " << (diverged - image.begin()) << " of "
+      << image.size();
+}
+
+/// The stream checkpoint grows its buffer on the first image and reserves
+/// it from the last image after that; the bytes are the codec's either
+/// way.
+TEST(EngineCheckpoint, StreamImageIsTheCodecImageOnEveryCall) {
+  StreamEngine engine(RichOptions());
+  BuildRichEngine(engine);
+  const std::string first = CheckpointBytes(engine);
+  auto parsed = ReadEngineCheckpoint(first);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(first == oracle::EngineCheckpointBytes(*parsed));
+  EXPECT_TRUE(CheckpointBytes(engine) == first);
 }
 
 }  // namespace
