@@ -37,8 +37,7 @@ ShardedScorerOptions StreamEngine::MakeScorerOptions(
   scorer.shift_enabled = options.shift.enabled;
   scorer.bocpd = options.shift.bocpd;
   scorer.worker_tick_hook = options.worker_tick_hook_for_test;
-  if (options.executor != nullptr && !options.synchronous) {
-    scorer.executor = options.executor;
+  if (!options.synchronous) {
     scorer.collector_notify = [engine] { engine->NotifyCollector(); };
   }
   return scorer;
@@ -151,39 +150,42 @@ Status StreamEngine::Start() {
   if (router_.num_sensors() == 0) {
     return Status::FailedPrecondition("no sensors registered");
   }
+  const bool periodic_checkpoint =
+      checkpoint_gate_enabled_ && options_.checkpoint_interval.count() > 0;
+  if (options_.synchronous && periodic_checkpoint) {
+    return Status::InvalidArgument(
+        "a synchronous engine starts no threads, so it cannot checkpoint "
+        "periodically; set checkpoint_interval to 0 and call "
+        "CheckpointToFile");
+  }
   HOD_RETURN_IF_ERROR(PopulateScorer());
   if (!options_.synchronous) {
-    HOD_RETURN_IF_ERROR(scorer_.Start());
-    if (pooled()) {
-      // No threads: the collector drains on the pool's service lane when
-      // notified; the watchdog runs as an executor timer.
-      watchdog_last_heartbeat_.assign(scorer_.num_shards(), 0);
-      if (options_.watchdog_interval.count() > 0) {
-        watchdog_timer_id_ = options_.executor->ScheduleEvery(
-            options_.watchdog_interval, options_.watchdog_interval,
-            [this] { WatchdogTick(); });
-      }
-    } else {
-      collector_ = std::jthread([this] { CollectorLoop(); });
-      if (options_.watchdog_interval.count() > 0) {
-        watchdog_ = std::jthread(
-            [this](std::stop_token stop) { WatchdogLoop(stop); });
-      }
+    // One runtime: the borrowed pool, or an owned one sized to the shards
+    // (plus the service lane for the collector and the timer thread).
+    pool_ = options_.executor;
+    if (pool_ == nullptr) {
+      owned_pool_ = std::make_unique<util::ThreadPool>(
+          util::ThreadPoolOptions{scorer_.num_shards(), 1});
+      pool_ = owned_pool_.get();
     }
-  }
-  if (checkpoint_gate_enabled_ && options_.checkpoint_interval.count() > 0) {
-    // First write fires after `checkpoint_phase` (stagger offset), then
-    // every interval.
-    if (pooled()) {
+    HOD_RETURN_IF_ERROR(scorer_.Start(*pool_));
+    // The collector drains on the service lane when notified; the
+    // watchdog and the periodic checkpoint run as pool timers.
+    watchdog_last_heartbeat_.assign(scorer_.num_shards(), 0);
+    if (options_.watchdog_interval.count() > 0) {
+      watchdog_timer_id_ = pool_->ScheduleEvery(
+          options_.watchdog_interval, options_.watchdog_interval,
+          [this] { WatchdogTick(); });
+    }
+    if (periodic_checkpoint) {
+      // First write fires after `checkpoint_phase` (stagger offset), then
+      // every interval. Failures are counted in stats; the timer retries.
       const auto initial = options_.checkpoint_phase.count() > 0
                                ? options_.checkpoint_phase
                                : options_.checkpoint_interval;
-      checkpoint_timer_id_ = options_.executor->ScheduleEvery(
+      checkpoint_timer_id_ = pool_->ScheduleEvery(
           initial, options_.checkpoint_interval,
           [this] { (void)CheckpointToFile(options_.checkpoint_path); });
-    } else {
-      checkpoint_timer_ = std::jthread(
-          [this](std::stop_token stop) { CheckpointLoop(stop); });
     }
   }
   state_.store(kRunning);
@@ -271,79 +273,52 @@ Status StreamEngine::Flush() {
 Status StreamEngine::Stop() {
   const int state = state_.exchange(kStopped);
   if (state == kStopped) return Status::Ok();
-  // Timer first, while the pipeline is still alive: an in-flight periodic
+  // Timers first, while the pipeline is still alive: an in-flight periodic
   // checkpoint holds the ingest gate and waits on the collector, so it
-  // must complete before workers are torn down. Cancel has join
-  // semantics, so the executor timers are equally settled on return (a
-  // callback that started after the state_ exchange above sees kStopped
-  // and returns without touching the pipeline).
-  if (pooled()) {
-    if (checkpoint_timer_id_ != 0) {
-      options_.executor->Cancel(checkpoint_timer_id_);
-      checkpoint_timer_id_ = 0;
-    }
-    if (watchdog_timer_id_ != 0) {
-      options_.executor->Cancel(watchdog_timer_id_);
-      watchdog_timer_id_ = 0;
-    }
+  // must complete before the pipeline is torn down. Cancel has join
+  // semantics, so the timers are settled on return (a callback that
+  // started after the state_ exchange above sees kStopped and returns
+  // without touching the pipeline).
+  for (uint64_t* timer : {&checkpoint_timer_id_, &watchdog_timer_id_}) {
+    if (*timer == 0) continue;
+    pool_->Cancel(*timer);
+    *timer = 0;
   }
-  if (checkpoint_timer_.joinable()) {
-    checkpoint_timer_.request_stop();
-    checkpoint_timer_.join();
-  }
-  if (watchdog_.joinable()) {
-    watchdog_.request_stop();
-    watchdog_.join();
-  }
-  if (state == kConfiguring || options_.synchronous) {
-    if (state == kRunning) {
-      DrainCollectorQueueSync();
-      FlushPendingFaults();
-      IngestPendingFindings();
-      PublishSnapshot();
-    }
-    if (pooled()) pooled_stopped_.store(true, std::memory_order_release);
-    return Status::Ok();
-  }
-  // Workers first: joining (or quiescing, in pooled mode) guarantees every
-  // accepted sample has been scored and every interesting one forwarded.
-  // Then the collector drains the closed queue, publishes the final
-  // snapshot, and exits.
-  scorer_.Stop();
-  collector_queue_.Close();
-  if (pooled()) {
-    // Arm the collector once for the tail (Close leaves events poppable),
-    // then wait for its task machinery to retire. A racing PushHealthEvent
-    // either lands before it is drained (its own notify re-arms the task)
-    // or fails on the closed queue and is undone.
+  if (state == kRunning && options_.synchronous) {
+    DrainCollectorQueueSync();
+  } else if (state == kRunning) {
+    // Shards first: quiescing them guarantees every accepted sample has
+    // been scored and every interesting one forwarded. Then arm the
+    // collector once for the tail (Close leaves events poppable) and wait
+    // for its task machinery to retire. A racing PushHealthEvent either
+    // lands before it is drained (its own notify re-arms the task) or
+    // fails on the closed queue and is undone.
+    scorer_.Stop();
+    collector_queue_.Close();
     NotifyCollector();
     // Wait under collector_mu_ so the last task's retirement (which also
     // happens under the lock) is ordered before this predicate observing
     // quiescence — otherwise the engine could be destroyed while the task
-    // still notifies on collector_cv_. Poll with a short timeout: the
-    // failed-SubmitService undo path in NotifyCollector does not notify.
-    {
-      std::unique_lock<std::mutex> lock(collector_mu_);
-      const auto quiesced = [&] {
-        return collector_tasks_in_flight_.load(std::memory_order_acquire) ==
-                   0 &&
-               collector_task_state_.load(std::memory_order_acquire) ==
-                   kCollectorIdle &&
-               collector_queue_.size() == 0;
-      };
-      while (!quiesced()) {
-        collector_cv_.wait_for(lock, std::chrono::milliseconds(1));
-      }
-    }
-    // Safe: the acquire loads above pair with the task's release exits, so
-    // every collector-private write is visible here.
+    // still notifies on collector_cv_. Every path that moves a term (a
+    // drained batch, a retirement, a failed SubmitService's undo)
+    // notifies under the lock. The acquire loads pair with the task's
+    // release exits, so every collector-private write is visible after.
+    std::unique_lock<std::mutex> lock(collector_mu_);
+    collector_cv_.wait(lock, [&] {
+      return collector_tasks_in_flight_.load(std::memory_order_acquire) ==
+                 0 &&
+             collector_task_state_.load(std::memory_order_acquire) ==
+                 kCollectorIdle &&
+             collector_queue_.size() == 0;
+    });
+  }
+  if (state == kRunning) {
     FlushPendingFaults();
     IngestPendingFindings();
     PublishSnapshot();
-    pooled_stopped_.store(true, std::memory_order_release);
-    return Status::Ok();
   }
-  if (collector_.joinable()) collector_.join();
+  if (owned_pool_ != nullptr) owned_pool_->Shutdown();
+  stop_complete_.store(true, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -407,13 +382,12 @@ Status StreamEngine::CheckpointToFile(const std::string& path) {
     }
     HOD_RETURN_IF_ERROR(FillCheckpoint(checkpoint));
   } else if (state == kRunning) {
-    // Synchronous engine: the caller's thread is the only mutator, but the
-    // gate still serializes against a background timer (if armed).
+    // Synchronous engine: the gate serializes against an Ingest on another
+    // thread (armed by checkpoint_path, like the threaded gate).
     std::unique_lock<std::shared_mutex> gate(ingest_gate_);
     HOD_RETURN_IF_ERROR(FillCheckpoint(checkpoint));
   } else {
-    if (collector_.joinable() ||
-        (pooled() && !pooled_stopped_.load(std::memory_order_acquire))) {
+    if (!stop_complete_.load(std::memory_order_acquire)) {
       // Stop() raced us and has not finished draining yet.
       return Status::FailedPrecondition("engine is stopping");
     }
@@ -445,23 +419,6 @@ Status StreamEngine::CheckpointToFile(const std::string& path) {
   }
   stats_.Add(Counter::checkpoints_written);
   return Status::Ok();
-}
-
-void StreamEngine::CheckpointLoop(const std::stop_token& stop) {
-  std::mutex mu;
-  std::condition_variable_any cv;
-  std::unique_lock<std::mutex> lock(mu);
-  // Stagger support: the first write fires after `checkpoint_phase` (when
-  // set) instead of a full interval, same contract as the executor timer.
-  const auto initial = options_.checkpoint_phase.count() > 0
-                           ? options_.checkpoint_phase
-                           : options_.checkpoint_interval;
-  cv.wait_for(lock, stop, initial, [] { return false; });
-  while (!stop.stop_requested()) {
-    // Failures are already counted in stats; the timer keeps trying.
-    (void)CheckpointToFile(options_.checkpoint_path);
-    cv.wait_for(lock, stop, options_.checkpoint_interval, [] { return false; });
-  }
 }
 
 void StreamEngine::ReportEscalation(
@@ -707,45 +664,9 @@ StatusOr<SensorProbe> StreamEngine::Probe(const std::string& sensor_id) const {
   return scorer_.Probe(sensor_id);
 }
 
-void StreamEngine::CollectorLoop() {
-  std::vector<ScoredSample> batch;
-  batch.reserve(options_.max_batch);
-  while (collector_queue_.PopBatch(batch, options_.max_batch)) {
-    for (const ScoredSample& scored : batch) ConsumeScored(scored);
-    IngestPendingFindings();
-    // A drained queue is a quiescent point — publish so Flush() callers
-    // observe a current snapshot. Publish BEFORE the release fetch_add:
-    // that store is the edge a quiesced checkpointer (or Flush caller)
-    // acquires, so every collector-private write — including the snapshot
-    // bookkeeping — must be sequenced before it.
-    if (collector_queue_.size() == 0) PublishSnapshot();
-    collected_.fetch_add(batch.size(), std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(collector_mu_);
-    }
-    collector_cv_.notify_all();
-    batch.clear();
-  }
-  FlushPendingFaults();
-  IngestPendingFindings();
-  PublishSnapshot();
-}
-
-void StreamEngine::WatchdogLoop(const std::stop_token& stop) {
-  watchdog_last_heartbeat_.assign(scorer_.num_shards(), 0);
-  std::mutex mu;
-  std::condition_variable_any cv;
-  std::unique_lock<std::mutex> lock(mu);
-  while (!stop.stop_requested()) {
-    cv.wait_for(lock, stop, options_.watchdog_interval, [] { return false; });
-    if (stop.stop_requested()) break;
-    WatchdogTick();
-  }
-}
-
 void StreamEngine::WatchdogTick() {
-  // Executor-timer mode can fire between the state_ exchange in Stop()
-  // and the timer's cancellation; the pipeline is being torn down then.
+  // The timer can fire between the state_ exchange in Stop() and the
+  // timer's cancellation; the pipeline is being torn down then.
   if (state_.load() != kRunning) return;
   for (size_t i = 0; i < watchdog_last_heartbeat_.size(); ++i) {
     const uint64_t beat = scorer_.ShardHeartbeat(i);
@@ -782,15 +703,18 @@ void StreamEngine::NotifyCollector() {
   // Service lane: collector drains must make progress even when every
   // worker-lane thread is blocked pushing into a full collector queue —
   // that is the deadlock this lane exists to break.
-  if (!options_.executor->SubmitService([this] { CollectorDrainTask(); })) {
+  if (!pool_->SubmitService([this] { CollectorDrainTask(); })) {
+    // Pool already shut down (a racing health event after Stop). Undo
+    // under collector_mu_, like a retiring task, so Stop's wait sees it.
+    std::lock_guard<std::mutex> lock(collector_mu_);
     collector_task_state_.store(kCollectorIdle, std::memory_order_release);
     collector_tasks_in_flight_.fetch_sub(1, std::memory_order_release);
+    collector_cv_.notify_all();
   }
 }
 
 void StreamEngine::CollectorDrainTask() {
-  std::vector<ScoredSample> batch;
-  batch.reserve(options_.max_batch);
+  std::vector<ScoredSample>& batch = collector_batch_;
   for (;;) {
     collector_task_state_.store(kCollectorRunning, std::memory_order_release);
     for (;;) {
@@ -799,9 +723,11 @@ void StreamEngine::CollectorDrainTask() {
       if (n == 0) break;
       for (const ScoredSample& scored : batch) ConsumeScored(scored);
       IngestPendingFindings();
-      // Same ordering contract as CollectorLoop: publish BEFORE the
-      // release fetch_add on collected_ — that store is the edge a
-      // quiesced checkpointer or Flush caller acquires.
+      // A drained queue is a quiescent point — publish so Flush() callers
+      // observe a current snapshot. Publish BEFORE the release fetch_add
+      // on collected_: that store is the edge a quiesced checkpointer (or
+      // Flush caller) acquires, so every collector-private write —
+      // including the snapshot bookkeeping — must be sequenced before it.
       if (collector_queue_.size() == 0) PublishSnapshot();
       collected_.fetch_add(n, std::memory_order_release);
       {
@@ -865,13 +791,18 @@ void StreamEngine::PushHealthEvent(const HealthTransition& transition) {
   health_events_pushed_.fetch_add(1, std::memory_order_release);
   Status status = collector_queue_.Push(std::move(event));
   if (status.ok()) {
-    if (pooled()) NotifyCollector();
+    if (!options_.synchronous) NotifyCollector();
     return;
   }
-  // Collector already closed (shutdown race). Undo the pre-count —
-  // otherwise Flush waits forever for an event that never arrives — and
-  // surface the loss instead of silently swallowing it.
-  health_events_pushed_.fetch_sub(1, std::memory_order_release);
+  // Collector already closed (shutdown race). Undo the pre-count under
+  // collector_mu_ and notify — otherwise a Flush waits forever for an
+  // event that never arrives — and surface the loss instead of silently
+  // swallowing it.
+  {
+    std::lock_guard<std::mutex> lock(collector_mu_);
+    health_events_pushed_.fetch_sub(1, std::memory_order_release);
+    collector_cv_.notify_all();
+  }
   stats_.Add(Counter::forward_failed);
 }
 

@@ -18,7 +18,6 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/alert_manager.h"
@@ -47,7 +46,7 @@ struct StreamEngineOptions {
   size_t num_shards = 4;
   /// Per-shard ingress queue capacity (samples).
   size_t queue_capacity = 1024;
-  /// Max samples a worker scores per queue drain (micro-batch size).
+  /// Max samples a shard drain task scores per pop (micro-batch size).
   size_t max_batch = 64;
   /// What a full shard queue does with a new sample (engine default; a
   /// sensor class can override per sensor via AddSensor).
@@ -67,6 +66,8 @@ struct StreamEngineOptions {
   /// collects inline on the caller's thread, and the ack carries the
   /// monitor update. Deterministic; scores are byte-identical to feeding
   /// one core::OnlineMonitor per sensor. For tests and replay tools.
+  /// Start() refuses periodic checkpointing here (it would need a timer
+  /// thread); CheckpointToFile still works when called.
   bool synchronous = false;
   /// Seconds a sample's timestamp may regress behind its sensor's
   /// frontier before it is rejected as out-of-order.
@@ -101,20 +102,22 @@ struct StreamEngineOptions {
   /// Synchronous mode: run the staleness sweep every this many accepted
   /// samples. Threaded mode sweeps on the watchdog cadence instead.
   size_t health_sweep_every = 256;
-  /// Watchdog period (threaded mode): stall detection over shard worker
-  /// heartbeats plus the staleness sweep. Zero disables the watchdog.
+  /// Watchdog period (threaded mode): stall detection over shard drain
+  /// heartbeats plus the staleness sweep, run as a timer on the engine's
+  /// pool. Zero disables the watchdog.
   std::chrono::milliseconds watchdog_interval{200};
   /// Alert episode building. Stream findings start at global score 1, so
   /// the default board admits INFO — otherwise weak-but-real alarm
   /// episodes would be invisible.
   core::AlertManagerOptions alerts{30.0, core::AlertSeverity::kInfo};
-  /// Background periodic checkpointing: when `checkpoint_path` is
-  /// non-empty and `checkpoint_interval` positive, a timer thread calls
-  /// CheckpointToFile(checkpoint_path) on that cadence. Each image is
-  /// written to `<path>.tmp` and atomically renamed over the target, so a
-  /// crash mid-write never corrupts the last good checkpoint. A non-empty
-  /// path also arms the ingest gate CheckpointToFile needs, so manual
-  /// calls on a live threaded engine work too (interval 0 = manual only).
+  /// Background periodic checkpointing (threaded mode): when
+  /// `checkpoint_path` is non-empty and `checkpoint_interval` positive, a
+  /// timer on the engine's pool calls CheckpointToFile(checkpoint_path) on
+  /// that cadence. Each image is written to `<path>.tmp` and atomically
+  /// renamed over the target, so a crash mid-write never corrupts the last
+  /// good checkpoint. A non-empty path also arms the ingest gate
+  /// CheckpointToFile needs, so manual calls on a live threaded engine
+  /// work too (interval 0 = manual only).
   std::string checkpoint_path;
   std::chrono::milliseconds checkpoint_interval{0};
   /// Capacity of the scorer → collector queue (always lossless/blocking).
@@ -124,19 +127,21 @@ struct StreamEngineOptions {
   size_t snapshot_every = 256;
   /// Read-side publish hook. When set, every published EngineSnapshot is
   /// also handed to this sink (after it became visible via Snapshot()),
-  /// on the collector thread — the serve tier's SnapshotHub attaches
+  /// on the collector task — the serve tier's SnapshotHub attaches
   /// here. The sink MUST be cheap and non-blocking (a bounded ring push):
   /// it runs on the pipeline's single consumer, so a slow sink stalls
   /// collection exactly like a slow collector would.
   std::function<void(const EngineSnapshot&)> snapshot_sink;
-  /// Borrowed executor (fleet mode). When set on a threaded engine, the
-  /// engine spawns NO threads of its own: shard drains run as pooled
-  /// tasks on the executor's worker lane, the collector drain on its
-  /// reserved service lane, and the watchdog + periodic checkpoint as
-  /// executor timers. N engines on one pool cost pool-size threads, not
-  /// N * (shards + 3). The pool must outlive the engine, and the engine
-  /// must be Stop()ped before the pool shuts down. Ignored in
-  /// synchronous mode (no threads either way).
+  /// The pool a threaded engine runs on. Every threaded engine runs the
+  /// same way: shard drains as tasks on the pool's worker lane, the
+  /// collector drain on its reserved service lane, and the watchdog and
+  /// periodic checkpoint as pool timers. Null (the default): Start()
+  /// builds an owned pool of `num_shards` worker threads, one service
+  /// thread and the timer thread, and Stop() shuts it down. Set (fleet
+  /// mode): the engine borrows it and spawns no thread of its own, so N
+  /// engines on one pool cost pool-size threads; the pool must outlive
+  /// the engine, and the engine must be Stop()ped before the pool shuts
+  /// down. Ignored in synchronous mode (no threads either way).
   util::ThreadPool* executor = nullptr;
   /// Initial delay before the FIRST periodic checkpoint (subsequent ones
   /// fire every `checkpoint_interval`). The fleet tier derives this from
@@ -254,14 +259,15 @@ struct EscalationRunStats {
 ///   engine.AddSensor("m1.bed_temp_a", hierarchy::ProductionLevel::kPhase);
 ///   engine.Start();
 ///   engine.Ingest({"m1.bed_temp_a", level, ts, value});   // any thread
-///   engine.Stop();                // drains every queue, joins workers
+///   engine.Stop();                // drains every queue, retires the tasks
 ///   auto episodes = engine.Episodes();
 ///
 /// Threading: Ingest is safe from any number of producer threads. Each
-/// sensor's samples are scored in arrival order by exactly one worker
-/// (stable hash → shard), so per-sensor results are identical to a
-/// single-threaded run. The collector is the only thread touching the
-/// AlertManager and the snapshot state; the watchdog thread only reads
+/// sensor's samples are scored in arrival order by its shard's drain task
+/// (stable hash → shard; at most one task in flight per shard), so
+/// per-sensor results are identical to a single-threaded run. The
+/// collector task (at most one in flight) is the only one touching the
+/// AlertManager and the snapshot state; the watchdog timer only reads
 /// shard heartbeats and drives health transitions through the tracker's
 /// per-sensor locks.
 class StreamEngine {
@@ -300,8 +306,10 @@ class StreamEngine {
   Status AddPeerGroupsFromConfiguration(const hierarchy::Production& production,
                                         double tolerance = 1e-6);
 
-  /// Seals the registry and (threaded mode) spawns workers + collector +
-  /// watchdog.
+  /// Seals the registry and (threaded mode) starts the pipeline on the
+  /// engine's pool: borrowed `options.executor`, or an owned one built
+  /// here. A synchronous engine starts no thread; with `checkpoint_path`
+  /// and a positive `checkpoint_interval` it returns InvalidArgument.
   Status Start();
 
   /// Validates, routes, and scores (sync) or enqueues (threaded) one
@@ -315,8 +323,9 @@ class StreamEngine {
   /// then publishes a fresh snapshot. Call with producers quiescent.
   Status Flush();
 
-  /// Drains all queues, joins all threads, publishes the final snapshot.
-  /// Idempotent; the engine cannot be restarted.
+  /// Drains all queues, retires every task and timer (and shuts an owned
+  /// pool down), publishes the final snapshot. Idempotent; the engine
+  /// cannot be restarted.
   Status Stop();
 
   /// Serializes the engine's complete mutable state (monitor baselines,
@@ -328,7 +337,7 @@ class StreamEngine {
   Status Checkpoint(std::ostream& os) const;
 
   /// Checkpoints a LIVE engine to `path` (write-to-temp + atomic rename).
-  /// Unlike Checkpoint(), this also works while threaded workers run: it
+  /// Unlike Checkpoint(), this also works while a threaded engine runs: it
   /// closes the ingest gate (producers block for the duration), drains the
   /// scorer and collector, and serializes the quiesced state. Requires
   /// `options.checkpoint_path` non-empty on a threaded engine (that is
@@ -405,28 +414,22 @@ class StreamEngine {
   /// sensor-fault half of the board that Episodes() filters out.
   std::vector<core::AlertEpisode> CalibrationQueue() const;
 
-  /// Monitor state of one sensor. FailedPrecondition while workers run
-  /// (stop or flush-in-sync-mode first).
+  /// Monitor state of one sensor. FailedPrecondition while a threaded
+  /// engine runs (stop or flush-in-sync-mode first).
   StatusOr<SensorProbe> Probe(const std::string& sensor_id) const;
 
  private:
   enum State { kConfiguring, kRunning, kStopped };
-  /// Pooled collector-task states — same machine as the scorer's shard
-  /// drain tasks (see ShardedScorer::NotifyShard).
+  /// Collector-task states — same machine as the scorer's shard drain
+  /// tasks (see ShardedScorer::NotifyShard).
   enum CollectorTaskState : int {
     kCollectorIdle = 0,
     kCollectorArmed = 1,
     kCollectorRunning = 2,
   };
 
-  /// True when this engine runs on a borrowed executor instead of its own
-  /// jthreads (threaded semantics, pooled mechanics).
-  bool pooled() const {
-    return options_.executor != nullptr && !options_.synchronous;
-  }
-
   /// Builds the scorer configuration, wiring the engine's collector
-  /// notify hook when running pooled.
+  /// notify hook on a threaded engine.
   static ShardedScorerOptions MakeScorerOptions(
       const StreamEngineOptions& options, StreamEngine* engine);
 
@@ -434,20 +437,16 @@ class StreamEngine {
   /// Start() so Restore can inject monitor state before threads exist.
   Status PopulateScorer();
 
-  void CollectorLoop();
-  void WatchdogLoop(const std::stop_token& stop);
-  void CheckpointLoop(const std::stop_token& stop);
   /// One watchdog pass: stall detection over shard heartbeats + the
-  /// staleness sweep. Body of WatchdogLoop (jthread mode) and of the
-  /// executor watchdog timer (pooled mode).
+  /// staleness sweep. Body of the watchdog timer.
   void WatchdogTick();
-  /// Pooled mode: arms the collector drain task (no-op if already armed).
-  /// Called by the scorer after each micro-batch's collector push and
-  /// before that push blocks on a full queue, and by PushHealthEvent.
+  /// Arms the collector drain task (no-op if already armed). Called by
+  /// the scorer after each micro-batch's collector push and before that
+  /// push blocks on a full queue, and by PushHealthEvent.
   void NotifyCollector();
-  /// Pooled mode: the collector drain body, run on the service lane.
+  /// The collector drain body, run on the pool's service lane.
   void CollectorDrainTask();
-  /// Collector-thread only (or caller thread in synchronous mode).
+  /// Collector task only (or caller thread in synchronous mode).
   void ConsumeScored(const ScoredSample& scored);
   void PublishSnapshot();
   /// Drains the collector queue inline (synchronous mode only).
@@ -493,22 +492,24 @@ class StreamEngine {
   IngestRouter router_;
   SensorHealthTracker health_;
   PeerGroupMonitor peers_;
+  /// The pool a threaded engine builds in Start() when it borrows none.
+  /// Declared before scorer_ so it outlives every drain task.
+  std::unique_ptr<util::ThreadPool> owned_pool_;
   ShardedScorer scorer_;
-  std::jthread collector_;
-  std::jthread watchdog_;
-  std::jthread checkpoint_timer_;
-  /// Pooled mode: executor timer registrations (0 = not scheduled) and
-  /// the collector task state machine.
+  /// The pool the pipeline runs on (borrowed or owned_pool_); null until
+  /// a threaded Start() and in synchronous mode.
+  util::ThreadPool* pool_ = nullptr;
+  /// Pool timer registrations (0 = not scheduled) and the collector task
+  /// state machine.
   uint64_t watchdog_timer_id_ = 0;
   uint64_t checkpoint_timer_id_ = 0;
   std::atomic<int> collector_task_state_{kCollectorIdle};
   std::atomic<uint64_t> collector_tasks_in_flight_{0};
-  /// Pooled mode: set once Stop() has fully quiesced the pipeline — the
-  /// pooled analogue of `!collector_.joinable()` for the "is Stop still
+  /// Set once Stop() has fully quiesced the pipeline: the "is Stop still
   /// in flight?" check in CheckpointToFile.
-  std::atomic<bool> pooled_stopped_{false};
+  std::atomic<bool> stop_complete_{false};
   /// Watchdog stall-detection baseline. Written only by the watchdog
-  /// jthread or the executor timer thread (never both for one engine).
+  /// timer, on the pool's timer thread.
   std::vector<uint64_t> watchdog_last_heartbeat_;
   std::atomic<int> state_{kConfiguring};
   bool scorer_populated_ = false;
@@ -528,7 +529,7 @@ class StreamEngine {
   std::vector<std::atomic<uint8_t>> stalled_;
 
   /// Collector-private (unsynchronized: single consumer — the collector
-  /// thread, or the caller thread in synchronous mode).
+  /// task, or the caller thread in synchronous mode).
   std::array<LevelOutlierState, hierarchy::kNumLevels> levels_{};
   std::map<std::string, ActiveAlarm> active_alarms_;
   std::map<std::string, QuarantinedSensor> quarantined_;
@@ -547,6 +548,8 @@ class StreamEngine {
   uint64_t concept_shifts_total_ = 0;
   ts::TimePoint collector_frontier_ =
       -std::numeric_limits<ts::TimePoint>::infinity();
+  /// The collector task's pop buffer, kept across tasks.
+  std::vector<ScoredSample> collector_batch_;
   uint64_t events_seen_ = 0;
   uint64_t events_at_last_snapshot_ = 0;
   uint64_t next_sequence_ = 1;

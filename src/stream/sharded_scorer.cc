@@ -127,20 +127,15 @@ void ShardedScorer::ForwardShiftEvent(Shard& shard, const SensorSample& sample,
   Emit(shard, std::move(event));
 }
 
-Status ShardedScorer::Start() {
+Status ShardedScorer::Start(util::ThreadPool& executor) {
   if (running()) return Status::FailedPrecondition("scorer already started");
   if (stopped_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("scorer already stopped");
   }
+  // No threads to spawn: drain tasks are armed lazily by NotifyShard on
+  // the first Submit to each shard.
+  executor_ = &executor;
   running_.store(true, std::memory_order_release);
-  if (options_.executor != nullptr) {
-    // Executor mode: no threads to spawn. Drain tasks are armed lazily by
-    // NotifyShard on the first Submit to each shard.
-    return Status::Ok();
-  }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->worker = std::jthread([this, i] { WorkerLoop(i); });
-  }
   return Status::Ok();
 }
 
@@ -151,8 +146,8 @@ Status ShardedScorer::Submit(size_t shard, SensorSample sample,
   }
   Shard& s = *shards_[shard];
   const hierarchy::ProductionLevel level = sample.level;
-  // Count before pushing: the worker may process the sample before this
-  // line otherwise, and Flush would see processed > submitted.
+  // Count before pushing: the drain task may process the sample before
+  // this line otherwise, and Flush would see processed > submitted.
   s.submitted.fetch_add(1, std::memory_order_relaxed);
   std::optional<SensorSample> evicted;
   Status status = s.queue->Push(std::move(sample), policy, &evicted);
@@ -162,7 +157,12 @@ Status ShardedScorer::Submit(size_t shard, SensorSample sample,
     stats_->RecordLevelDropped(evicted->level);
   }
   if (!status.ok()) {
-    s.submitted.fetch_sub(1, std::memory_order_relaxed);
+    {
+      // Undo under flush_mu_ and notify: Flush and Stop wait on this count.
+      std::lock_guard<std::mutex> lock(flush_mu_);
+      s.submitted.fetch_sub(1, std::memory_order_relaxed);
+      flush_cv_.notify_all();
+    }
     if (stats_ != nullptr) {
       if (status.code() == StatusCode::kOutOfRange) {
         stats_->Add(Counter::rejected_queue_full);
@@ -181,7 +181,7 @@ Status ShardedScorer::Submit(size_t shard, SensorSample sample,
     }
     return status;
   }
-  if (options_.executor != nullptr && running()) NotifyShard(shard);
+  if (running()) NotifyShard(shard);
   return Status::Ok();
 }
 
@@ -191,39 +191,41 @@ void ShardedScorer::NotifyShard(size_t shard_index) {
       shard.task_state.exchange(kTaskArmed, std::memory_order_acq_rel);
   if (prev != kTaskIdle) return;  // a task is pending or will loop again
   tasks_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  if (!options_.executor->Submit([this, shard_index] {
-        DrainTask(shard_index);
-      })) {
-    // Pool already shut down (engines must stop first; defensive). Undo so
-    // Stop()'s quiescence wait does not hang on a task that never runs.
+  if (!executor_->Submit([this, shard_index] { DrainTask(shard_index); })) {
+    // Pool already shut down (a racing Submit after Stop). Undo under
+    // flush_mu_, like a retiring task, so a waiter sees the count drop.
+    std::lock_guard<std::mutex> lock(flush_mu_);
     shard.task_state.store(kTaskIdle, std::memory_order_release);
     tasks_in_flight_.fetch_sub(1, std::memory_order_release);
+    flush_cv_.notify_all();
   }
 }
 
 void ShardedScorer::DrainTask(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
-  std::vector<SensorSample> batch;
-  batch.reserve(options_.max_batch);
+  std::vector<SensorSample>& batch = shard.drained;
   for (;;) {
     shard.task_state.store(kTaskRunning, std::memory_order_release);
-    size_t batches = 0;
     bool more = false;
-    while (batches < kBatchesPerSlice) {
+    for (size_t batches = 1;; ++batches) {
       batch.clear();
       if (shard.queue->TryPopBatch(batch, options_.max_batch) == 0) break;
       if (options_.worker_tick_hook) options_.worker_tick_hook(shard_index);
       ProcessBatch(shard_index, batch);
-      ++batches;
-      more = batches == kBatchesPerSlice && shard.queue->size() > 0;
+      // End of a slice with work left: give the thread up only when other
+      // tasks wait for one, so co-scheduled plants share the pool fairly
+      // and a lone engine keeps draining without a resubmit hop.
+      if (batches % kBatchesPerSlice == 0 && shard.queue->size() > 0 &&
+          executor_->unserved_tasks() > 0) {
+        more = true;
+        break;
+      }
     }
     if (more) {
-      // Slice exhausted with work left: re-arm and resubmit instead of
-      // looping, so other plants' shards get pool time in between.
+      // Re-arm and resubmit instead of looping, so the waiting tasks get
+      // pool time in between.
       shard.task_state.store(kTaskArmed, std::memory_order_release);
-      if (options_.executor->Submit([this, shard_index] {
-            DrainTask(shard_index);
-          })) {
+      if (executor_->Submit([this, shard_index] { DrainTask(shard_index); })) {
         return;  // in_flight carries over to the resubmitted task
       }
       // Pool shutting down: fall through and finish the drain inline.
@@ -253,7 +255,7 @@ StatusOr<InlineScore> ShardedScorer::ScoreNow(size_t shard,
                                               uint32_t lane_hint) {
   if (running()) {
     return Status::FailedPrecondition(
-        "ScoreNow is synchronous-mode only; workers are running");
+        "ScoreNow is synchronous-mode only; the scorer is running");
   }
   if (shard >= shards_.size()) {
     return Status::OutOfRange("shard index out of range");
@@ -272,7 +274,10 @@ StatusOr<InlineScore> ShardedScorer::ScoreNow(size_t shard,
 
 StatusOr<InlineScore> ShardedScorer::ScoreInline(Shard& s, size_t lane,
                                                  const SensorSample& sample) {
-  const HealthGateResult gate = HealthGate(s, sample);
+  const HealthGateResult gate = HealthGate(sample);
+  if (gate.transition.has_value()) {
+    ForwardEvent(s, *gate.transition, sample, gate.reason);
+  }
   if (health_ != nullptr && health_->enabled()) {
     SyncBaselineFreeze(s, lane, gate.score);
   }
@@ -316,79 +321,45 @@ StatusOr<InlineScore> ShardedScorer::ScoreInline(Shard& s, size_t lane,
   return result;
 }
 
+bool ShardedScorer::AllProcessed() const {
+  for (const auto& shard : shards_) {
+    // Evicted (kDropOldest) samples were submitted but never reach a drain
+    // task — they count as handled.
+    if (shard->processed.load(std::memory_order_acquire) +
+            shard->queue->dropped() !=
+        shard->submitted.load(std::memory_order_acquire)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Status ShardedScorer::Flush() {
   if (!running()) return Status::Ok();
   std::unique_lock<std::mutex> lock(flush_mu_);
-  flush_cv_.wait(lock, [&] {
-    for (const auto& shard : shards_) {
-      // Evicted (kDropOldest) samples were submitted but never reach the
-      // worker — they count as handled.
-      if (shard->processed.load(std::memory_order_acquire) +
-              shard->queue->dropped() !=
-          shard->submitted.load(std::memory_order_acquire)) {
-        return false;
-      }
-    }
-    return true;
-  });
+  flush_cv_.wait(lock, [&] { return AllProcessed(); });
   return Status::Ok();
 }
 
 void ShardedScorer::Stop() {
   if (stopped_.exchange(true, std::memory_order_acq_rel)) return;
   for (auto& shard : shards_) shard->queue->Close();
-  if (options_.executor != nullptr) {
-    // Pooled drains own the tail: Close() leaves queued samples poppable,
-    // so arming every shard once guarantees a task sees whatever is left
-    // (including samples submitted before Start, which never notified).
-    for (size_t i = 0; i < shards_.size(); ++i) NotifyShard(i);
-    // Quiesce: no drain task in flight and every submitted sample
-    // processed or dropped. A racing Submit that hits the closed queue
-    // undoes its `submitted` count without a notify, so poll with a short
-    // timeout instead of relying purely on wakeups.
+  if (!running()) return;  // never started: no drain task exists
+  // Pooled drains own the tail: Close() leaves queued samples poppable,
+  // so arming every shard once guarantees a task sees whatever is left
+  // (including samples submitted before Start, which never notified). A
+  // push racing Close() that still lands counted itself in `submitted`
+  // first and arms its own task, so the wait below covers it too.
+  for (size_t i = 0; i < shards_.size(); ++i) NotifyShard(i);
+  // Quiesce: no drain task in flight and every submitted sample processed
+  // or dropped. Every path that moves either term (a task's batch or
+  // retirement, a failed Submit's undo) notifies under flush_mu_.
+  {
     std::unique_lock<std::mutex> lock(flush_mu_);
-    const auto quiesced = [&] {
-      if (tasks_in_flight_.load(std::memory_order_acquire) != 0) {
-        return false;
-      }
-      for (const auto& shard : shards_) {
-        if (shard->processed.load(std::memory_order_acquire) +
-                shard->queue->dropped() !=
-            shard->submitted.load(std::memory_order_acquire)) {
-          return false;
-        }
-      }
-      return true;
-    };
-    while (!quiesced()) {
-      flush_cv_.wait_for(lock, std::chrono::milliseconds(1));
-    }
-    lock.unlock();
-    running_.store(false, std::memory_order_release);
-    return;
-  }
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
-  }
-  // Straggler drain: the SPSC ring's Close() is lock-free on the producer
-  // side, so a Submit that passed the closed check may publish its sample
-  // after the worker already observed "closed and drained" and exited.
-  // Score those here, on the Stop thread, until every submitted sample is
-  // accounted for. Convergence: each in-flight Submit either lands (we pop
-  // it) or fails and undoes its `submitted` increment.
-  std::vector<SensorSample> batch;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    while (shard.processed.load(std::memory_order_acquire) +
-               shard.queue->dropped() <
-           shard.submitted.load(std::memory_order_acquire)) {
-      batch.clear();
-      if (shard.queue->TryPopBatch(batch, options_.max_batch) == 0) {
-        std::this_thread::yield();
-        continue;
-      }
-      ProcessBatch(i, batch);
-    }
+    flush_cv_.wait(lock, [&] {
+      return tasks_in_flight_.load(std::memory_order_acquire) == 0 &&
+             AllProcessed();
+    });
   }
   running_.store(false, std::memory_order_release);
 }
@@ -498,17 +469,6 @@ Status ShardedScorer::RestoreBocpd(const std::string& sensor_id,
   return Status::NotFound("no monitor for sensor: " + sensor_id);
 }
 
-void ShardedScorer::WorkerLoop(size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  std::vector<SensorSample> batch;
-  batch.reserve(options_.max_batch);
-  while (shard.queue->PopBatch(batch, options_.max_batch)) {
-    if (options_.worker_tick_hook) options_.worker_tick_hook(shard_index);
-    ProcessBatch(shard_index, batch);
-    batch.clear();
-  }
-}
-
 void ShardedScorer::ProcessBatch(size_t shard_index,
                                  std::vector<SensorSample>& batch) {
   Shard& shard = *shards_[shard_index];
@@ -516,11 +476,12 @@ void ShardedScorer::ProcessBatch(size_t shard_index,
 
   // Pass 1 — sample order: lane lookup (the router's cached lane when the
   // sample carries one, the string-keyed map otherwise) and health gating.
-  // Quarantine and recovery events forward here, so health transitions
-  // keep their per-sensor order relative to this sensor's later samples.
-  // Admitted samples also feed their lane's BOCPD detector here; a
-  // confirmed shift is recorded by admitted row so pass 2 can sequence
-  // the re-baseline exactly where the synchronous path would.
+  // Quarantine and recovery transitions are recorded by row; pass 3
+  // forwards each at its row's position, after the scores of the sensor's
+  // earlier samples. Admitted samples also feed their lane's BOCPD
+  // detector here; a confirmed shift is recorded by admitted row so pass 2
+  // can sequence the re-baseline exactly where the synchronous path would.
+  shard.batch_gate_events.clear();
   shard.batch_rows.clear();
   shard.batch_lanes.clear();
   shard.batch_values.clear();
@@ -535,7 +496,11 @@ void ShardedScorer::ProcessBatch(size_t shard_index,
     if (lane == core::BatchMonitorBank::kNotFound) {
       continue;  // router guarantees this
     }
-    const HealthGateResult gate = HealthGate(shard, sample);
+    const HealthGateResult gate = HealthGate(sample);
+    if (gate.transition.has_value()) {
+      shard.batch_gate_events.push_back(
+          Shard::GateEvent{i, *gate.transition, gate.reason});
+    }
     if (health_ != nullptr && health_->enabled()) {
       SyncBaselineFreeze(shard, lane, gate.score);
     }
@@ -583,12 +548,23 @@ void ShardedScorer::ProcessBatch(size_t shard_index,
                        shard.batch_updates.data() + seg_start,
                        shard.batch_scored.data() + seg_start);
 
-  // Pass 3 — sample order again: peer observation, alarm accounting, and
-  // collector forwarding, gated exactly as the per-sample path was.
-  // Concept-shift events follow their confirming sample's score event.
+  // Pass 3 — sample order again: health events, peer observation, alarm
+  // accounting, and collector forwarding, gated exactly as the per-sample
+  // path was. A health event leads its own row's events; a concept-shift
+  // event follows its confirming sample's score event.
   size_t scored = 0;
   size_t shift_idx = 0;
+  size_t gate_idx = 0;
+  const auto forward_gate_events_through = [&](size_t row) {
+    for (; gate_idx < shard.batch_gate_events.size() &&
+           shard.batch_gate_events[gate_idx].row <= row;
+         ++gate_idx) {
+      const Shard::GateEvent& event = shard.batch_gate_events[gate_idx];
+      ForwardEvent(shard, event.kind, batch[event.row], event.reason);
+    }
+  };
   for (size_t t = 0; t < admitted; ++t) {
+    forward_gate_events_through(shard.batch_rows[t]);
     if (shard.batch_scored[t] == 0) continue;  // router filters non-finites
     ++scored;
     SensorSample& sample = batch[shard.batch_rows[t]];
@@ -627,6 +603,7 @@ void ShardedScorer::ProcessBatch(size_t shard_index,
       ++shift_idx;
     }
   }
+  forward_gate_events_through(batch.size());
   if (stats_ != nullptr && scored > 0) stats_->Add(Counter::scored, scored);
   FlushOutbox(shard);
   shard.processed.fetch_add(batch.size(), std::memory_order_release);
@@ -638,16 +615,16 @@ void ShardedScorer::ProcessBatch(size_t shard_index,
 }
 
 ShardedScorer::HealthGateResult ShardedScorer::HealthGate(
-    Shard& shard, const SensorSample& sample) {
+    const SensorSample& sample) {
   HealthGateResult gate;
   if (health_ == nullptr || !health_->enabled()) return gate;
   const HealthObservation obs =
       health_->Observe(sample.sensor_id, sample.ts, sample.value);
   if (obs.entered_quarantine) {
-    ForwardEvent(shard, StreamEventKind::kSensorFault, sample, obs.signal);
+    gate.transition = StreamEventKind::kSensorFault;
+    gate.reason = obs.signal;
   } else if (obs.recovered) {
-    ForwardEvent(shard, StreamEventKind::kSensorRecovered, sample,
-                 HealthSignal::kClean);
+    gate.transition = StreamEventKind::kSensorRecovered;
   }
   switch (obs.state) {
     case SensorHealthState::kQuarantined:

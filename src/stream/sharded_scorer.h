@@ -11,7 +11,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/batch_monitor.h"
@@ -77,8 +76,8 @@ struct ScoredSample {
 };
 
 /// Read-only view of one sensor's monitor, for tests and diagnostics.
-/// Only coherent while no worker owns the monitor (synchronous mode, or a
-/// stopped engine).
+/// Only coherent while no drain task owns the monitor (synchronous mode,
+/// or a stopped engine).
 struct SensorProbe {
   uint64_t samples_seen = 0;
   uint64_t alarms_raised = 0;
@@ -98,7 +97,7 @@ struct ShardedScorerOptions {
   size_t num_shards = 4;
   /// Per-shard queue capacity (samples).
   size_t queue_capacity = 1024;
-  /// Max samples a worker drains per queue acquisition.
+  /// Max samples a drain task takes per queue acquisition.
   size_t max_batch = 64;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Producer wait bound under kBlockWithTimeout.
@@ -122,29 +121,23 @@ struct ShardedScorerOptions {
   /// byte-identical to a scorer built before this option existed.
   bool shift_enabled = false;
   core::BocpdOptions bocpd;
-  /// Test seam: called by each worker once per drain iteration with its
-  /// shard index. Lets liveness tests wedge a worker deterministically
+  /// Test seam: called by each drain task once per micro-batch with its
+  /// shard index. Lets liveness tests wedge a shard deterministically
   /// (watchdog / shutdown-under-saturation coverage). Must be cheap and
   /// thread-safe; leave empty in production.
   std::function<void(size_t)> worker_tick_hook;
-  /// Borrowed executor (fleet mode). When set, Start() spawns no worker
-  /// threads: shard drains run as notify-driven pooled tasks on the
-  /// executor's worker lane, so N scorers share one fixed thread set. The
-  /// executor must outlive the scorer and must not shut down before
-  /// Stop() returns.
-  util::ThreadPool* executor = nullptr;
   /// Called after every collector batch push, and before a push blocks
-  /// on a full collector queue (executor mode): the engine uses it to arm
-  /// its pooled collector-drain task, replacing the blocking PopBatch
-  /// thread.
+  /// on a full collector queue: the engine uses it to arm its pooled
+  /// collector-drain task, which runs only when notified.
   std::function<void()> collector_notify;
 };
 
-/// The scoring tier: N shards, each owning a bounded queue, a worker
-/// thread, and a `core::BatchMonitorBank` holding the monitors of the
-/// sensors hashed to it in structure-of-arrays form. Shard state is
-/// strictly thread-private — a sensor's samples are only ever scored by
-/// its shard's worker, so the hot path touches no shared mutable state
+/// The scoring tier: N shards, each owning a bounded queue, one pooled
+/// drain task (at most one in flight), and a `core::BatchMonitorBank`
+/// holding the monitors of the sensors hashed to it in structure-of-arrays
+/// form. Shard state is task-private — a sensor's samples are only ever
+/// scored by its shard's drain task, so the hot path touches no shared
+/// mutable state
 /// and takes no lock (the queue mutex is amortized over micro-batches;
 /// the optional health tracker adds one uncontended per-sensor mutex
 /// acquisition per sample). A drained micro-batch is scored in one
@@ -172,16 +165,19 @@ class ShardedScorer {
   /// Creates the monitor for one sensor on its shard. Call before Start().
   Status AddSensor(size_t shard, const std::string& sensor_id);
 
-  /// Spawns one worker per shard. Without Start() the scorer is usable
-  /// synchronously via ScoreNow().
-  Status Start();
+  /// Starts scoring on `executor`: shard drains run as notify-driven
+  /// tasks on its worker lane, armed by Submit. Spawns no thread. The
+  /// executor must outlive the scorer and must not shut down before
+  /// Stop() returns. Without Start() the scorer is usable synchronously
+  /// via ScoreNow().
+  Status Start(util::ThreadPool& executor);
 
   /// Enqueues a routed sample onto its shard under `policy` (the sensor
   /// class's backpressure), accounting evictions and timeouts.
   Status Submit(size_t shard, SensorSample sample, BackpressurePolicy policy);
 
   /// Scores a sample inline on the caller's thread (synchronous mode).
-  /// Must not be mixed with running workers. A quarantined sensor's
+  /// Must not be mixed with a started scorer. A quarantined sensor's
   /// sample is withheld from its monitor (result.scored == false).
   /// `lane_hint` (the router's cached lane, kNoLane when unresolved)
   /// skips the string-keyed lane lookup when valid.
@@ -197,8 +193,8 @@ class ShardedScorer {
   /// be quiescent for the post-condition to be meaningful.
   Status Flush();
 
-  /// Closes every queue, drains remaining samples, and joins workers.
-  /// Idempotent.
+  /// Closes every queue and waits until the drain tasks have scored what
+  /// was accepted and retired. Idempotent.
   void Stop();
 
   /// Sets `snapshot`'s per-shard queue high-water marks and adds the
@@ -223,25 +219,25 @@ class ShardedScorer {
                                   : std::string_view{"?"};
   }
 
-  /// Liveness telemetry for the engine watchdog: a shard worker's
-  /// heartbeat advances once per drain iteration; a queue with waiting
-  /// samples whose heartbeat stands still is a stalled worker.
+  /// Liveness telemetry for the engine watchdog: a shard's heartbeat
+  /// advances once per scored micro-batch; a queue with waiting samples
+  /// whose heartbeat stands still is a stalled shard.
   uint64_t ShardHeartbeat(size_t shard) const;
   size_t ShardQueueDepth(size_t shard) const;
 
-  /// Monitor state of one sensor. FailedPrecondition while workers run.
+  /// Monitor state of one sensor. FailedPrecondition while the scorer runs.
   StatusOr<SensorProbe> Probe(const std::string& sensor_id) const;
 
   /// Checkpoint support: copy a sensor's monitor state out / in.
-  /// FailedPrecondition while workers run.
+  /// FailedPrecondition while the scorer runs.
   StatusOr<core::OnlineMonitorState> SaveMonitor(
       const std::string& sensor_id) const;
   /// SaveMonitor for a running-but-quiesced scorer (background
-  /// checkpointing): workers may be alive, but the caller guarantees every
-  /// submitted sample has been scored (Flush returned) and no producer can
-  /// submit until the save completes. The Flush release/acquire chain on
-  /// the shard `processed` counters makes the monitor reads safe; without
-  /// that guarantee this is a data race.
+  /// checkpointing): drain tasks may be armed, but the caller guarantees
+  /// every submitted sample has been scored (Flush returned) and no
+  /// producer can submit until the save completes. The Flush
+  /// release/acquire chain on the shard `processed` counters makes the
+  /// monitor reads safe; without that guarantee this is a data race.
   StatusOr<core::OnlineMonitorState> SaveMonitorQuiesced(
       const std::string& sensor_id) const;
   Status RestoreMonitor(const std::string& sensor_id,
@@ -266,10 +262,10 @@ class ShardedScorer {
           bank(monitor_options) {}
     std::unique_ptr<ShardQueue<SensorSample>> queue;
     /// SoA bank of this shard's per-sensor monitors. Touched only by the
-    /// shard's drain thread (or the caller in synchronous mode).
+    /// shard's drain task (or the caller in synchronous mode).
     core::BatchMonitorBank bank;
     /// Per-lane BOCPD detectors (same indexing as the bank's lanes).
-    /// Empty unless options.shift_enabled; thread-private like the bank.
+    /// Empty unless options.shift_enabled; task-private like the bank.
     std::vector<core::BocpdDetector> bocpd;
     /// Shifts confirmed in pass 1 of the current batch, by admitted-row
     /// index — pass 2 segments PushBatch at these rows so post-confirm
@@ -282,8 +278,19 @@ class ShardedScorer {
       bool deferred;  ///< lane was frozen: reset parked until thaw
     };
     std::vector<PendingShift> batch_shifts;
+    /// The drain task's pop buffer, kept across tasks so a task run
+    /// allocates nothing (one task in flight: task-private).
+    std::vector<SensorSample> drained;
+    /// Health transitions of the current batch, by batch row — pass 3
+    /// forwards each just before its row's own events.
+    struct GateEvent {
+      size_t row;
+      StreamEventKind kind;
+      HealthSignal reason;
+    };
+    std::vector<GateEvent> batch_gate_events;
     /// ProcessBatch scratch, parallel over the health-admitted samples of
-    /// one micro-batch. Owned by the drain thread; reused across batches.
+    /// one micro-batch. Owned by the drain task; reused across batches.
     std::vector<size_t> batch_rows;     ///< positions in the drained batch
     std::vector<size_t> batch_lanes;
     std::vector<double> batch_values;
@@ -296,36 +303,38 @@ class ShardedScorer {
     std::atomic<uint64_t> submitted{0};
     std::atomic<uint64_t> processed{0};
     std::atomic<uint64_t> heartbeat{0};
-    /// Executor mode only: kTaskIdle / kTaskArmed / kTaskRunning (see
-    /// NotifyShard). Exactly one drain task is in flight per shard.
+    /// kTaskIdle / kTaskArmed / kTaskRunning (see NotifyShard). At most
+    /// one drain task is in flight per shard.
     std::atomic<int> task_state{0};
-    std::jthread worker;
   };
 
-  /// Pooled-task state machine (executor mode). A shard (or the engine's
+  /// Pooled-task state machine. A shard (or the engine's
   /// collector) has at most one drain task in flight; a notify while the
   /// task runs re-arms it so no push is ever missed:
   ///   Idle    --notify-->  Armed (+ submit task)
   ///   Armed   --notify-->  Armed (task already pending)
   ///   Running --notify-->  Armed (task loops instead of exiting)
   enum TaskState : int { kTaskIdle = 0, kTaskArmed = 1, kTaskRunning = 2 };
-  /// Batches a drain task processes before resubmitting itself — bounds a
-  /// busy shard's slice so co-scheduled plants share the pool fairly.
+  /// Batches per slice: at the end of each, a drain task with work left
+  /// resubmits itself if other tasks wait in the pool — bounds a busy
+  /// shard's slice so co-scheduled plants share the pool fairly.
   static constexpr size_t kBatchesPerSlice = 4;
 
-  void WorkerLoop(size_t shard_index);
-  /// Executor mode: arms shard `shard_index`'s drain task (no-op when one
-  /// is already armed). Called after every successful Submit push.
+  /// Arms shard `shard_index`'s drain task (no-op when one is already
+  /// armed). Called after every successful Submit push.
   void NotifyShard(size_t shard_index);
-  /// Executor mode: the pooled drain body for one shard.
+  /// The pooled drain body for one shard.
   void DrainTask(size_t shard_index);
+  /// True when every submitted sample was scored or evicted. Flush and
+  /// Stop wait on it under flush_mu_.
+  bool AllProcessed() const;
   /// Scores one drained batch on the calling thread and publishes the
-  /// shard's progress counters. Shared by WorkerLoop, DrainTask, and the
-  /// post-join straggler drain in Stop(). Three passes: health-gate in
-  /// sample order (gate events forward here), one vectorized
-  /// BatchMonitorBank::PushBatch over the admitted samples, then peer
-  /// observation / alarm accounting / collector forwarding in sample
-  /// order. Per-sensor event order is unchanged from the per-sample path.
+  /// shard's progress counters. Three passes: health-gate in sample order
+  /// (transitions are recorded by row), one vectorized
+  /// BatchMonitorBank::PushBatch over the admitted samples, then health
+  /// events, peer observation, alarm accounting and collector forwarding
+  /// in sample order. Every sensor's events leave in the order the
+  /// per-sample path emits them.
   void ProcessBatch(size_t shard_index, std::vector<SensorSample>& batch);
   /// Scores one sample for ScoreNow once its lane is resolved; events go
   /// to the shard's outbox.
@@ -341,13 +350,17 @@ class ShardedScorer {
   /// before the batch's `processed` bump, so Flush never sees a scored
   /// batch whose events are not yet counted.
   void FlushOutbox(Shard& shard);
-  /// Health-gates one sample: emits fault/recovery events, and reports
-  /// whether to score it and whether its results may feed the collector.
+  /// Health-gates one sample: reports whether to score it, whether its
+  /// results may feed the collector, and the health transition (quarantine
+  /// entry or completed recovery) the sample caused, which the caller
+  /// forwards ahead of the sample's own events.
   struct HealthGateResult {
     bool score = true;    ///< feed the sample to the monitor
     bool forward = true;  ///< let scores/alarms reach the collector
+    std::optional<StreamEventKind> transition;
+    HealthSignal reason = HealthSignal::kClean;
   };
-  HealthGateResult HealthGate(Shard& shard, const SensorSample& sample);
+  HealthGateResult HealthGate(const SensorSample& sample);
   /// Baseline-lifecycle transitions driven by the health gate: the first
   /// quarantined sample freezes the lane's baseline, the first admitted
   /// sample after quarantine thaws it (applying any reset a concept shift
@@ -384,9 +397,11 @@ class ShardedScorer {
   SensorHealthTracker* health_;
   PeerGroupMonitor* peers_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Executor mode: pooled drain tasks currently submitted or running.
-  /// Stop() waits for zero (release on task exit / acquire in the wait)
-  /// before declaring the shards quiescent.
+  /// The pool drain tasks run on; set by Start().
+  util::ThreadPool* executor_ = nullptr;
+  /// Pooled drain tasks currently submitted or running. Stop() waits for
+  /// zero (release on task exit / acquire in the wait) before declaring
+  /// the shards quiescent.
   std::atomic<uint64_t> tasks_in_flight_{0};
   std::atomic<uint64_t> forwarded_{0};
   std::atomic<uint64_t> forward_failed_{0};

@@ -78,9 +78,10 @@ inline size_t NextPowerOfTwo(size_t n) {
 /// `Close` runs. The contract is therefore: after Close() *returns*,
 /// subsequent pushes fail FailedPrecondition; an in-flight racing push
 /// may succeed, and its item stays poppable — a consumer that observed
-/// "closed and drained" hands ownership to whoever joins the producer
-/// (the scorer's `Stop()` runs a post-join straggler sweep for exactly
-/// this window; `ShardedScorer` accounts every such sample).
+/// "closed and drained" hands ownership to whoever drains after the
+/// producer (`ShardedScorer` counts the sample in `submitted` before the
+/// push and arms a drain task after it, and its `Stop()` waits for every
+/// counted sample, so such an item is still scored).
 template <typename T>
 class SpscRing final : public ShardQueue<T> {
  public:

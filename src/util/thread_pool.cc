@@ -45,15 +45,23 @@ bool ThreadPool::SubmitService(std::function<void()> fn) {
   return SubmitTo(service_lane_, std::move(fn));
 }
 
+size_t ThreadPool::unserved_tasks() const {
+  std::lock_guard<std::mutex> lock(worker_lane_.mu);
+  const size_t queued = worker_lane_.tasks.size();
+  return queued > worker_lane_.idle ? queued - worker_lane_.idle : 0;
+}
+
 void ThreadPool::WorkerLoop(Lane& lane) {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(lane.mu);
+      ++lane.idle;
       lane.cv.wait(lock, [&] {
         return !lane.tasks.empty() ||
                shutdown_.load(std::memory_order_acquire);
       });
+      --lane.idle;
       // Shutdown drains: queued tasks still run (an engine quiescing its
       // pooled drains depends on them), then the thread exits.
       if (lane.tasks.empty()) return;

@@ -82,6 +82,10 @@ class ThreadPool {
   void Shutdown();
 
   size_t num_threads() const { return workers_.size(); }
+  /// Worker-lane tasks queued beyond the idle worker threads that will
+  /// take them: tasks that wait for a busy thread. A long-running task
+  /// yields its thread only while this is non-zero.
+  size_t unserved_tasks() const;
   size_t num_service_threads() const { return service_workers_.size(); }
   /// Tasks executed so far across both lanes. Each task is counted with a
   /// release after it returns and this load acquires, so a caller that
@@ -96,9 +100,10 @@ class ThreadPool {
 
  private:
   struct Lane {
-    std::mutex mu;
+    mutable std::mutex mu;
     std::condition_variable cv;
     std::deque<std::function<void()>> tasks;
+    size_t idle = 0;  ///< threads parked on `cv` (guarded by `mu`)
   };
 
   struct Timer {

@@ -265,10 +265,10 @@ TEST(StreamStatsMerge, ConservationHoldsWithRouterRejects) {
 }
 
 // ---------------------------------------------------------------------------
-// Pooled engine mode (borrowed executor) vs legacy jthread mode
+// One threaded runtime: an engine on its owned pool vs one on a borrowed pool
 // ---------------------------------------------------------------------------
 
-TEST(PooledEngine, MatchesLegacyThreadedEngineExactly) {
+TEST(PooledEngine, OwnedPoolMatchesBorrowedPoolExactly) {
   const std::vector<double> faulty = MakeStream(11, 500, 350, 8, 6.0);
   const std::vector<double> clean = MakeStream(13, 500, 0, 0, 0.0);
 
@@ -293,6 +293,7 @@ TEST(PooledEngine, MatchesLegacyThreadedEngineExactly) {
   };
 
   util::ThreadPool pool(util::ThreadPoolOptions{2, 1});
+  // nullptr: the engine builds and owns its pool.
   const auto [legacy_stats, legacy_episodes, legacy_levels] = run(nullptr);
   const auto [pooled_stats, pooled_episodes, pooled_levels] = run(&pool);
 
@@ -491,6 +492,86 @@ TEST(PooledEngine, ManyEnginesShareOnePoolConcurrently) {
     EXPECT_EQ(stats.scored, kSamples);
   }
 }
+
+#ifdef __linux__
+/// Thread exit is reported to /proc a moment after join() returns, so a
+/// count that must fall back waits (bounded) for it.
+size_t OsThreadsSettledAt(size_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  size_t now = CountOsThreads();
+  while (now != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(1));
+    now = CountOsThreads();
+  }
+  return now;
+}
+
+TEST(PooledEngine, StandaloneEngineThreadBound) {
+  const size_t baseline = CountOsThreads();
+  ASSERT_GT(baseline, 0u);
+  const std::vector<double> values = MakeStream(17, 200, 120, 6, 6.0);
+  const auto feed = [&](stream::StreamEngine& engine) {
+    for (size_t t = 0; t < values.size(); ++t) {
+      ASSERT_TRUE(engine
+                      .Ingest({"s0", ProductionLevel::kPhase,
+                               static_cast<double>(t), values[t]})
+                      .ok());
+    }
+  };
+
+  // Configured but never started: no thread.
+  stream::StreamEngineOptions options = SmallEngine();
+  constexpr size_t kShards = 3;
+  options.num_shards = kShards;
+  options.watchdog_interval = milliseconds(5);
+  options.checkpoint_path = ::testing::TempDir() + "/thread_bound_ckpt.bin";
+  options.checkpoint_interval = milliseconds(10);
+  {
+    stream::StreamEngine idle(options);
+    ASSERT_TRUE(idle.AddSensor("s0", ProductionLevel::kPhase).ok());
+    EXPECT_EQ(CountOsThreads(), baseline) << "unstarted engine";
+  }
+
+  // Synchronous: no thread while running, checkpointing or stopping.
+  {
+    stream::StreamEngineOptions sync = options;
+    sync.synchronous = true;
+    sync.checkpoint_interval = milliseconds(0);  // manual only
+    stream::StreamEngine engine(sync);
+    ASSERT_TRUE(engine.AddSensor("s0", ProductionLevel::kPhase).ok());
+    ASSERT_TRUE(engine.Start().ok());
+    feed(engine);
+    ASSERT_TRUE(engine.CheckpointToFile(sync.checkpoint_path).ok());
+    EXPECT_EQ(CountOsThreads(), baseline) << "synchronous engine";
+    ASSERT_TRUE(engine.Stop().ok());
+    EXPECT_EQ(CountOsThreads(), baseline) << "synchronous engine";
+  }
+
+  // Threaded with a watchdog and a checkpoint timer: one worker per
+  // shard, one service thread for the collector, one timer thread.
+  {
+    stream::StreamEngine engine(options);
+    ASSERT_TRUE(engine.AddSensor("s0", ProductionLevel::kPhase).ok());
+    EXPECT_EQ(CountOsThreads(), baseline) << "before Start";
+    ASSERT_TRUE(engine.Start().ok());
+    feed(engine);
+    ASSERT_TRUE(engine.Flush().ok());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (engine.stats().checkpoints_written == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(milliseconds(2));
+    }
+    EXPECT_GT(engine.stats().checkpoints_written, 0u) << "timer never fired";
+    EXPECT_EQ(CountOsThreads(), baseline + kShards + 2) << "threaded engine";
+    ASSERT_TRUE(engine.Stop().ok());
+    EXPECT_EQ(OsThreadsSettledAt(baseline), baseline) << "after Stop";
+    EXPECT_EQ(engine.stats().scored, values.size());
+  }
+  EXPECT_EQ(OsThreadsSettledAt(baseline), baseline) << "after destruction";
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // FleetAlertBoard

@@ -643,6 +643,39 @@ TEST(EngineCheckpoint, BackgroundTimerCheckpointsAndSurvivesKill) {
   ASSERT_TRUE(engine.Stop().ok());
 }
 
+TEST(EngineCheckpoint, SynchronousEngineRefusesPeriodicCheckpointing) {
+  // A synchronous engine starts no threads, so it has no timer to run a
+  // periodic checkpoint on: Start() refuses the combination instead of
+  // spawning one. Manual checkpoints keep working.
+  const std::string path = CheckpointPath("hod_ckpt_sync_timer.bin");
+  StreamEngineOptions options = SyncOptions();
+  options.checkpoint_path = path;
+  options.checkpoint_interval = std::chrono::milliseconds(5);
+  const std::vector<double> values = MakeStream(93, 200);
+  {
+    StreamEngine engine(options);
+    ASSERT_TRUE(engine.AddSensor("s", ProductionLevel::kPhase).ok());
+    EXPECT_EQ(engine.Start().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(engine.running());
+  }
+
+  options.checkpoint_interval = std::chrono::milliseconds(0);
+  StreamEngine engine(options);
+  ASSERT_TRUE(engine.AddSensor("s", ProductionLevel::kPhase).ok());
+  ASSERT_TRUE(engine.Start().ok());
+  Feed(engine, "s", values, 0, 200);
+  ASSERT_TRUE(engine.CheckpointToFile(path).ok());
+  EXPECT_EQ(engine.stats().checkpoints_written, 1u);
+  std::ifstream is(path, std::ios::binary);
+  ASSERT_TRUE(is.good());
+
+  // Restoring under the refused options fails at the restored Start().
+  StreamEngineOptions periodic = options;
+  periodic.checkpoint_interval = std::chrono::milliseconds(5);
+  auto refused = StreamEngine::Restore(is, periodic);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ---- Concept-shift layer (checkpoint v5) -----------------------------------
 
 /// Sync engine options with the BOCPD layer on.

@@ -293,13 +293,15 @@ TEST(StreamConcurrency, SpscEnginePartityWithSerialReference) {
   }
 }
 
-// Direct-scorer fixture for the bugfix regressions: its own stats block
-// and collector queue, no engine around it, so the collector can be closed
-// mid-stream deterministically.
+// Direct-scorer fixture for the bugfix regressions: its own stats block,
+// collector queue and pool, no engine around it, so the collector can be
+// closed mid-stream deterministically. The pool is declared first so it
+// outlives the scorer's drain tasks.
 struct ScorerHarness {
   explicit ScorerHarness(ShardedScorerOptions options)
       : collector(1 << 16, BackpressurePolicy::kBlock),
         scorer(options, &stats, &collector, nullptr) {}
+  util::ThreadPool pool{util::ThreadPoolOptions{2, 1}};
   StreamStats stats;
   BoundedQueue<ScoredSample> collector;
   ShardedScorer scorer;
@@ -328,7 +330,7 @@ TEST(StreamConcurrency, ClosedCollectorCountsForwardFailuresNotForwards) {
        {ProducerHint::kUnknown, ProducerHint::kSinglePerShard}) {
     ScorerHarness h(TinyScorerOptions(hint));
     ASSERT_TRUE(h.scorer.AddSensor(0, "a").ok());
-    ASSERT_TRUE(h.scorer.Start().ok());
+    ASSERT_TRUE(h.scorer.Start(h.pool).ok());
     constexpr size_t kBefore = 400, kAfter = 400;
     for (size_t t = 0; t < kBefore; ++t) {
       ASSERT_TRUE(h.scorer
@@ -382,7 +384,7 @@ TEST(StreamConcurrency, StartScoreStopInterleavingIsRaceFree) {
     ScorerHarness h(options);
     ASSERT_TRUE(h.scorer.AddSensor(0, "a").ok());
     ASSERT_TRUE(h.scorer.AddSensor(1, "b").ok());
-    ASSERT_TRUE(h.scorer.Start().ok());
+    ASSERT_TRUE(h.scorer.Start(h.pool).ok());
     EXPECT_TRUE(h.scorer.running());
 
     std::atomic<uint64_t> accepted{0};
@@ -426,7 +428,7 @@ TEST(StreamConcurrency, SubmitOnClosedQueueIsRecordedAsRejected) {
   // every shutdown race.
   ScorerHarness h(TinyScorerOptions(ProducerHint::kUnknown));
   ASSERT_TRUE(h.scorer.AddSensor(0, "a").ok());
-  ASSERT_TRUE(h.scorer.Start().ok());
+  ASSERT_TRUE(h.scorer.Start(h.pool).ok());
   h.scorer.Stop();
   Status status = h.scorer.Submit(
       0, {"a", ProductionLevel::kPhase, 0.0, 50.0},
@@ -452,7 +454,7 @@ TEST(StreamConcurrency, FlushConvergesUnderEvictionStorm) {
     options.max_batch = 4;
     ScorerHarness h(options);
     ASSERT_TRUE(h.scorer.AddSensor(0, "a").ok());
-    ASSERT_TRUE(h.scorer.Start().ok());
+    ASSERT_TRUE(h.scorer.Start(h.pool).ok());
 
     std::atomic<bool> done{false};
     std::thread producer([&] {
@@ -485,12 +487,14 @@ TEST(StreamConcurrency, FlushConvergesUnderEvictionStorm) {
 // Forwarding liveness: a collector queue of two slots against 64-sample
 // micro-batches makes every shard's batch push block many times over. The
 // pooled collector runs only when notified, so a shard that parks on the
-// full queue without notifying first would wait forever; both runtimes must
-// reach Flush and Stop with the conservation identities intact.
-TEST(StreamConcurrency, TinyCollectorQueueStaysLiveInThreadedAndPooledModes) {
+// full queue without notifying first would wait forever; an engine on its
+// owned pool and one on a borrowed pool must both reach Flush and Stop
+// with the conservation identities intact.
+TEST(StreamConcurrency, TinyCollectorQueueStaysLiveOnOwnedAndBorrowedPools) {
   constexpr size_t kSensors = 6;
   constexpr size_t kSamplesPerSensor = 1500;
-  for (bool pooled : {false, true}) {
+  for (bool borrowed : {false, true}) {
+    // borrowed=false: the engine builds its own pool.
     util::ThreadPool pool(util::ThreadPoolOptions{2, 1});
     StreamEngineOptions options;
     options.num_shards = 2;
@@ -501,7 +505,7 @@ TEST(StreamConcurrency, TinyCollectorQueueStaysLiveInThreadedAndPooledModes) {
     // Every scored sample is forwarded: collector traffic equals scoring.
     options.monitor.threshold = -1.0;
     options.health.staleness_timeout = 0.0;
-    if (pooled) options.executor = &pool;
+    if (borrowed) options.executor = &pool;
     StreamEngine engine(options);
     for (size_t i = 0; i < kSensors; ++i) {
       ASSERT_TRUE(engine.AddSensor(SensorId(i), ProductionLevel::kPhase).ok());
@@ -528,23 +532,25 @@ TEST(StreamConcurrency, TinyCollectorQueueStaysLiveInThreadedAndPooledModes) {
 
     const StreamStatsSnapshot stats = engine.stats();
     EXPECT_EQ(stats.ingested, kSensors * kSamplesPerSensor)
-        << "pooled=" << pooled;
+        << "borrowed=" << borrowed;
     EXPECT_EQ(stats.ingested, stats.scored + stats.dropped +
                                   stats.rejected_total() +
                                   stats.quarantined_samples)
-        << "pooled=" << pooled;
-    EXPECT_EQ(stats.forward_failed, 0u) << "pooled=" << pooled;
+        << "borrowed=" << borrowed;
+    EXPECT_EQ(stats.forward_failed, 0u) << "borrowed=" << borrowed;
     // collected == forwarded + health events: one event per scored sample.
-    EXPECT_EQ(seen_at_flush, stats.scored) << "pooled=" << pooled;
+    EXPECT_EQ(seen_at_flush, stats.scored) << "borrowed=" << borrowed;
     EXPECT_EQ(engine.Snapshot().events_seen, stats.scored)
-        << "pooled=" << pooled;
+        << "borrowed=" << borrowed;
   }
 }
 
 // Per-sensor event order at the collector, with batched forwarding under
-// a two-slot collector queue: scores arrive in sample order, a quarantine
-// precedes every later sample's score, and a concept-shift event directly
-// follows the score event of the sample that confirmed it.
+// a two-slot collector queue: every sensor's events arrive in sample
+// order, as a synchronous engine emits them — a quarantine follows the
+// scores of the sensor's earlier samples in its micro-batch and precedes
+// every later one, and a concept-shift event directly follows the score
+// event of the sample that confirmed it.
 TEST(StreamConcurrency, CollectorSeesPerSensorEventOrder) {
   ShardedScorerOptions options;
   options.num_shards = 2;
@@ -558,6 +564,7 @@ TEST(StreamConcurrency, CollectorSeesPerSensorEventOrder) {
   SensorHealthOptions health_options;
   health_options.staleness_timeout = 0.0;
   SensorHealthTracker health(health_options, &stats);
+  util::ThreadPool pool(util::ThreadPoolOptions{2, 1});
   ShardedScorer scorer(options, &stats, &collector, &health);
   const std::vector<std::string> ids = {"shift_a", "stuck_b", "shift_c",
                                         "stuck_d"};
@@ -573,7 +580,7 @@ TEST(StreamConcurrency, CollectorSeesPerSensorEventOrder) {
       batch.clear();
     }
   });
-  ASSERT_TRUE(scorer.Start().ok());
+  ASSERT_TRUE(scorer.Start(pool).ok());
   constexpr size_t kSamples = 900;
   Rng rng(99);
   for (size_t t = 0; t < kSamples; ++t) {
@@ -615,15 +622,21 @@ TEST(StreamConcurrency, CollectorSeesPerSensorEventOrder) {
       }
       if (event.kind == StreamEventKind::kSensorFault) {
         ++faults;
-        // Health events forward when the sample is gated, scores once its
-        // micro-batch is scored: earlier samples' scores may trail the
-        // quarantine, but no later sample's score may precede it.
+        // No later sample's score may precede the quarantine.
         for (size_t j = 0; j < k; ++j) {
           if (events[j]->kind != StreamEventKind::kScore) continue;
           EXPECT_LT(events[j]->ts, event.ts)
               << id << ": a later score preceded the quarantine";
         }
       }
+    }
+    // Every event keeps sample order: a health event is forwarded at its
+    // sample's position in the micro-batch, after the scores of the
+    // sensor's earlier samples, never ahead of them.
+    for (size_t k = 1; k < events.size(); ++k) {
+      EXPECT_LE(events[k - 1]->ts, events[k]->ts)
+          << id << ": event for ts " << events[k]->ts << " arrived after ts "
+          << events[k - 1]->ts;
     }
     // Score events keep sample order.
     double last_score_ts = -1.0;

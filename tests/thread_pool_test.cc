@@ -73,6 +73,43 @@ TEST(ThreadPoolTest, ServiceLaneRunsWhileWorkerLaneIsBusy) {
   }
 }
 
+TEST(ThreadPoolTest, UnservedTasksCountsOnlyTasksWaitingForABusyThread) {
+  // Two worker threads: a queued task an idle thread will take is served;
+  // only tasks queued while every worker is busy count as unserved.
+  ThreadPool pool(ThreadPoolOptions{2, 1});
+  EXPECT_EQ(pool.unserved_tasks(), 0u);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  int started = 0;
+  int finished = 0;
+  const auto blocker = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    ++started;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+    ++finished;
+    cv.notify_all();
+  };
+  ASSERT_TRUE(pool.Submit(blocker));
+  ASSERT_TRUE(pool.Submit(blocker));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return started == 2; }));
+  }
+  EXPECT_EQ(pool.unserved_tasks(), 0u);
+  ASSERT_TRUE(pool.Submit(blocker));
+  ASSERT_TRUE(pool.Submit(blocker));
+  EXPECT_EQ(pool.unserved_tasks(), 2u);
+  std::unique_lock<std::mutex> lock(mu);
+  release = true;
+  cv.notify_all();
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                          [&] { return finished == 4; }));
+  EXPECT_EQ(pool.unserved_tasks(), 0u);
+}
+
 TEST(ThreadPoolTest, TimerFiresRepeatedlyAndCancelStopsIt) {
   ThreadPool pool(ThreadPoolOptions{1, 1});
   std::atomic<int> fires{0};
